@@ -4,10 +4,18 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.nlp.Lang
+import scala.collection.mutable
 
 /** Bipartite search-click-graph machinery (Sec. 3.1, Eq. 1–2 + Algorithm 1
-  * lines 1–4): transport probabilities, per-seed random walk and cluster
-  * assembly — all expressed as DataFrame joins/aggregations.
+  * lines 1–8): transport probabilities, per-seed random walk and cluster
+  * assembly.
+  *
+  * The transport probabilities are a DataFrame aggregation. The walk runs per
+  * seed on a broadcast of the transport adjacency, whose size is O(click
+  * edges): the seeds stay a distributed Dataset and each seed walks in one
+  * `flatMap`, with no shuffle per round. Visit mass at a node is summed over
+  * its in-neighbours in ascending neighbour id, starting from 0.0; that order
+  * is part of the contract, because it fixes every weight to the bit.
   */
 object ClickGraph {
 
@@ -37,38 +45,73 @@ object ClickGraph {
     (pDq, pQd)
   }
 
-  /** Random walk from every seed query.
+  /** Out-edges of every node, each list sorted by neighbour id. */
+  private type Adjacency = Map[Long, Array[(Long, Double)]]
+
+  /** Eq. (1)–(2) as adjacency maps: q → [(d, P(d|q))] and d → [(q, P(q|d))]. */
+  private final case class Transport(docsOf: Adjacency, queriesOf: Adjacency)
+
+  /** Collect [[transportProbs]] into a [[Transport]] on the driver. */
+  private def transport(clicks: DataFrame): Transport = {
+    import clicks.sparkSession.implicits._
+    val (pDq, pQd) = transportProbs(clicks)
+    def adjacency(df: DataFrame, from: String, to: String): Adjacency =
+      df.select(col(from), col(to), col("p")).as[(Long, Long, Double)].collect()
+        .groupBy(_._1).map { case (k, es) => k -> es.map(e => (e._2, e._3)).sortBy(_._1) }
+    Transport(adjacency(pDq, "query_id", "doc_id"), adjacency(pQd, "doc_id", "query_id"))
+  }
+
+  /** The random walk from one seed query.
     *
-    * Each round is q→d→q through the transport probabilities; visit mass is
-    * accumulated per (seed, node). Per-round pruning of mass < `prune` keeps
-    * the frontier sparse (an optimization — the paper thresholds only at the
-    * end with δ_v).
+    * Each round is q→d→q through the transport probabilities. The mass
+    * arriving at a node is Σ p·w over its frontier in-neighbours, in ascending
+    * neighbour id; entries below `prune` are dropped after each half-step (an
+    * optimization — the paper thresholds only at the end with δ_v). A node's
+    * visit is its highest mass over the rounds, capped at 1.0 (a sum of
+    * probabilities can round one ulp above it); the seed's own visit is 1.0.
+    *
+    * @return (query visits, doc visits) by node id
+    */
+  private def walk(t: Transport, seed: Long, rounds: Int, prune: Double): (Map[Long, Double], Map[Long, Double]) = {
+    def halfStep(frontier: collection.Map[Long, Double], adj: Adjacency): mutable.Map[Long, Double] = {
+      val mass = mutable.HashMap.empty[Long, Double]
+      for ((src, p) <- frontier.toSeq.sortBy(_._1); (dst, w) <- adj.getOrElse(src, Array.empty[(Long, Double)]))
+        mass(dst) = mass.getOrElse(dst, 0.0) + p * w
+      mass.filterInPlace((_, m) => m >= prune)
+    }
+    def keepMax(acc: mutable.Map[Long, Double], visits: collection.Map[Long, Double]): Unit =
+      visits.foreach { case (n, p) => acc(n) = math.max(acc.getOrElse(n, 0.0), math.min(p, 1.0)) }
+    val qMax = mutable.HashMap(seed -> 1.0)
+    val dMax = mutable.HashMap.empty[Long, Double]
+    var qv: collection.Map[Long, Double] = Map(seed -> 1.0)
+    for (_ <- 0 until rounds) {
+      val dv = halfStep(qv, t.docsOf)
+      keepMax(dMax, dv)
+      qv = halfStep(dv, t.queriesOf)
+      keepMax(qMax, qv)
+    }
+    (qMax.toMap, dMax.toMap)
+  }
+
+  /** Per-half-step pruning threshold of the walk. */
+  private val Prune = 0.01
+
+  /** Random walk from every seed query (see [[walk]]).
     *
     * @return (queryVisits(seed, query_id, p), docVisits(seed, doc_id, p))
     */
   def randomWalk(clicks: DataFrame, seeds: DataFrame, rounds: Int = 2,
-                 prune: Double = 0.01): (DataFrame, DataFrame) = {
-    val (pDq0, pQd0) = transportProbs(clicks)
-    val pDq = pDq0.withColumnRenamed("p", "pdq")
-    val pQd = pQd0.withColumnRenamed("p", "pqd")
-    var qv = seeds.select(col("query_id") as "seed", col("query_id"), lit(1.0) as "p")
-    var dvAcc: DataFrame = null
-    var qvAcc = qv
-    for (_ <- 0 until rounds) {
-      val dv = qv.join(pDq, "query_id")
-        .groupBy(col("seed"), col("doc_id"))
-        .agg(sum(col("p") * col("pdq")) as "p")
-        .where(col("p") >= prune)
-      dvAcc = if (dvAcc == null) dv else dvAcc.unionByName(dv)
-      qv = dv.join(pQd, "doc_id")
-        .groupBy(col("seed"), col("query_id"))
-        .agg(sum(col("p") * col("pqd")) as "p")
-        .where(col("p") >= prune)
-      qvAcc = qvAcc.unionByName(qv)
-    }
-    val qVisits = qvAcc.groupBy("seed", "query_id").agg(max("p") as "p")
-    val dVisits = dvAcc.groupBy("seed", "doc_id").agg(max("p") as "p")
-    (qVisits, dVisits)
+                 prune: Double = Prune): (DataFrame, DataFrame) = {
+    val spark = clicks.sparkSession
+    import spark.implicits._
+    val t = spark.sparkContext.broadcast(transport(clicks))
+    val visits = seeds.select(col("query_id")).as[Long].flatMap { s =>
+      val (qv, dv) = walk(t.value, s, rounds, prune)
+      qv.map { case (q, p) => (s, true, q, p) } ++ dv.map { case (d, p) => (s, false, d, p) }
+    }.toDF("seed", "isQuery", "id", "p")
+    def side(isQuery: Boolean, name: String): DataFrame =
+      visits.where(col("isQuery") === isQuery).select(col("seed"), col("id") as name, col("p"))
+    (side(isQuery = true, "query_id"), side(isQuery = false, "doc_id"))
   }
 
   /** Fraction of non-stop tokens must exceed 1/2 (Algorithm 1 keep rule). */
@@ -76,40 +119,45 @@ object ClickGraph {
     toks.nonEmpty && Lang.contentTokens(toks).size * 2 > toks.size
   }
 
+  /** Driver-side state every seed's walk reads: the transport adjacency, the
+    * tokens of the queries that pass [[mostlyContent]] and the doc titles.
+    */
+  private final case class WalkState(t: Transport, queryTokens: Map[Long, Seq[String]],
+                                     titles: Map[Long, Seq[String]])
+
   /** Assemble query-doc clusters from the random walk (Algorithm 1 lines 2–8).
     *
-    * Queries/titles are ordered by descending visit weight; members below
-    * δ_v are dropped; queries that are mostly stop words are dropped.
+    * Queries/titles are ordered by descending visit weight (ties by id);
+    * members below δ_v are dropped; queries that are mostly stop words are
+    * dropped; at most `maxMembers` of each are kept. A seed yields a cluster
+    * only when it keeps at least one query and one doc. Clicks on query or
+    * doc ids missing from `queries`/`docs` carry walk mass but never become
+    * members.
     */
   def clusters(spark: SparkSession, queries: DataFrame, docs: DataFrame,
                clicks: DataFrame, deltaV: Double = 0.05, rounds: Int = 2,
                maxMembers: Int = 12): Dataset[ClusterRow] = {
     import spark.implicits._
-    val seeds = queries.where(col("kind") === "attention").select("query_id")
-    val (qvAll, dvAll) = randomWalk(clicks, seeds, rounds)
+    val queryTokens = queries.select(col("query_id"), col("tokens")).as[(Long, Seq[String])]
+      .collect().filter(q => mostlyContent(q._2)).toMap
+    val titles = docs.select(col("doc_id"), col("title")).as[(Long, Seq[String])].collect().toMap
+    val state = spark.sparkContext.broadcast(WalkState(transport(clicks), queryTokens, titles))
 
-    val qRank = Window.partitionBy("seed").orderBy(col("p").desc, col(("query_id")))
-    val dRank = Window.partitionBy("seed").orderBy(col("p").desc, col(("doc_id")))
-    val contentUdf = udf(mostlyContent)
+    def members(visits: Map[Long, Double], texts: Map[Long, Seq[String]]): Seq[(Long, WText)] =
+      visits.toSeq.filter(_._2 >= deltaV)
+        .flatMap { case (id, p) => texts.get(id).map(toks => (id, WText(toks, p))) }
+        .sortBy { case (id, t) => (-t.w, id) }
+        .take(maxMembers)
 
-    val qv = qvAll.where(col("p") >= deltaV)
-      .join(queries.select(col("query_id"), col("tokens")), "query_id")
-      .where(contentUdf(col("tokens")))
-      .withColumn("rk", row_number().over(qRank)).where(col("rk") <= maxMembers)
-    val dv = dvAll.where(col("p") >= deltaV)
-      .join(docs.select(col("doc_id"), col("title")), "doc_id")
-      .withColumn("rk", row_number().over(dRank)).where(col("rk") <= maxMembers)
-
-    val qAgg = qv.groupBy("seed").agg(
-      sort_array(collect_list(struct(col("rk"), struct(col("tokens"), col("p") as "w") as "t"))) as "qs")
-    val dAgg = dv.groupBy("seed").agg(
-      sort_array(collect_list(struct(col("rk"), struct(col("title") as "tokens", col("p") as "w") as "t"))) as "ds",
-      sort_array(collect_list(col("doc_id"))) as "docIds")
-
-    qAgg.join(dAgg, "seed")
-      .join(queries.select(col("query_id") as "seed", col("gold_attn"), col("category")), "seed")
-      .select(col("seed"), col("gold_attn"), col("category"),
-        col("qs.t") as "queries", col("ds.t") as "titles", col("docIds"))
-      .as[ClusterRow]
+    queries.where(col("kind") === "attention")
+      .select(col("query_id"), col("gold_attn"), col("category")).as[(Long, Long, String)]
+      .flatMap { case (seed, goldAttn, category) =>
+        val s = state.value
+        val (qv, dv) = walk(s.t, seed, rounds, Prune)
+        val qs = members(qv, s.queryTokens)
+        val ds = members(dv, s.titles)
+        if (qs.isEmpty || ds.isEmpty) None
+        else Some(ClusterRow(seed, goldAttn, category, qs.map(_._2), ds.map(_._2), ds.map(_._1).sorted))
+      }
   }
 }

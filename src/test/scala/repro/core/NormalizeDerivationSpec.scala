@@ -1,8 +1,11 @@
 package repro.core
 
+import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core.Normalize.MinedPhrase
+import repro.data.OntoGen
+import repro.nlp.Lang
 
 class NormalizeSpec extends AnyFunSuite {
 
@@ -96,6 +99,38 @@ class DerivationSpec extends SparkSpec {
       (1L, Seq("famous", "runner"))).toDF("id", "phrase")
     val out = Derivation.commonSuffixes(spark, df, minCount = 2).collect()
     assert(out.isEmpty)
+  }
+
+  test("commonSuffixes support counts match DuckDB") {
+    // generated concept phrases, plus a repeated row and frequent suffixes
+    // the noun-phrase filter must reject (stop word, entity, verb, bare ADJ)
+    val onto = OntoGen.generate(OntoGen.Params(nDerivedConcepts = 25, nEvents = 15, seed = 4))
+    val fixture = onto.concepts.map(c => c.id -> c.tokens) ++ Seq(
+      900001L -> Seq("famous", "crime", "series"), 900001L -> Seq("famous", "crime", "series"),
+      900002L -> Seq("crime", "the", "series"), 900003L -> Seq("drama", "the", "series"),
+      900004L -> Seq("famous", "zorvex", "runner"), 900005L -> Seq("classic", "zorvex", "runner"),
+      900006L -> Seq("famous", "runner", "wins"), 900007L -> Seq("classic", "runner", "wins"),
+      900008L -> Seq("runner", "famous"), 900009L -> Seq("series", "famous"))
+    val concepts = fixture.toDF("id", "phrase")
+    val lexicon = fixture.flatMap(_._2).distinct.map { t =>
+      val i = Lang.info(t); (t, i.stop.toString, i.pos)
+    }.toDF("token", "stop", "pos")
+    Oracle.assertEquivalent(
+      Derivation.commonSuffixes(spark, concepts)
+        .select(concat_ws(" ", $"suffix") as "suffix", $"support"),
+      """WITH c   AS (SELECT CAST(id AS BIGINT) AS id, string_split(phrase, ' ') AS toks FROM concepts),
+        |     cut AS (SELECT id, toks, unnest(range(1, len(toks))) AS i FROM c),
+        |     suf AS (SELECT id, list_slice(toks, i + 1, len(toks)) AS suffix FROM cut),
+        |     tok AS (SELECT id, suffix, unnest(suffix) AS t,
+        |                    unnest(range(1, len(suffix) + 1)) AS k FROM suf),
+        |     np  AS (SELECT tok.id, tok.suffix FROM tok JOIN lexicon l ON l.token = tok.t
+        |             GROUP BY tok.id, tok.suffix
+        |             HAVING bool_and(l.stop = 'false' AND l.pos IN ('NOUN', 'ADJ'))
+        |                AND arg_max(l.pos, tok.k) = 'NOUN')
+        |SELECT array_to_string(suffix, ' ') AS suffix, COUNT(DISTINCT id) AS support
+        |FROM np GROUP BY suffix HAVING COUNT(DISTINCT id) >= 2""".stripMargin,
+      "concepts" -> fixture.map { case (id, p) => (id, p.mkString(" ")) }.toDF("id", "phrase"),
+      "lexicon" -> lexicon)
   }
 
   test("eventPattern collapses entity runs into one slot") {
