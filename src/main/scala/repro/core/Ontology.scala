@@ -59,7 +59,6 @@ object GiantPipeline {
   /** Train the three GCTSP-Net heads on the train splits (Spark-distributed). */
   def trainModels(spark: SparkSession, corpus: Datasets.Corpus,
                   epochs: Int, seed: Long = 13): TrainedModels = {
-    val sc = spark.sparkContext
     def binaryGraphs(xs: Seq[MiningExample]): Seq[RGCN.EncodedGraph] =
       xs.map { ex => GCTSPNet.encode(qtigOf(ex), GCTSPNet.binaryLabels(ex.gold)) }
     def elementGraphs(xs: Seq[MiningExample]): Seq[RGCN.EncodedGraph] =
@@ -70,12 +69,10 @@ object GiantPipeline {
     val tc = RGCNTrainer.TrainConfig(epochs = epochs, seed = seed)
     val cmdTrain = corpus.train(corpus.cmd)
     val emdTrain = corpus.train(corpus.emd)
-    val conceptMiner = RGCNTrainer.train(spark,
-      sc.parallelize(binaryGraphs(cmdTrain), 16), GCTSPNet.config(2), tc)
-    val eventMiner = RGCNTrainer.train(spark,
-      sc.parallelize(binaryGraphs(emdTrain), 16), GCTSPNet.config(2), tc)
-    val elementClassifier = RGCNTrainer.train(spark,
-      sc.parallelize(elementGraphs(emdTrain), 16), GCTSPNet.config(GCTSPNet.ElementClasses), tc)
+    val conceptMiner = RGCNTrainer.train(spark, binaryGraphs(cmdTrain), GCTSPNet.config(2), tc)
+    val eventMiner = RGCNTrainer.train(spark, binaryGraphs(emdTrain), GCTSPNet.config(2), tc)
+    val elementClassifier = RGCNTrainer.train(spark, elementGraphs(emdTrain),
+      GCTSPNet.config(GCTSPNet.ElementClasses), tc)
     TrainedModels(conceptMiner, eventMiner, elementClassifier)
   }
 
@@ -204,10 +201,10 @@ object GiantPipeline {
       if conceptDocs(n.id).exists(d => mentions(d.body, ent.name))
     } yield (n.id, ent.id, features(n.id, ent, None))
 
-    val (_, ceEdges) =
+    val ceEdges =
       if (positives.nonEmpty && negatives.nonEmpty)
-        Linking.conceptEntityIsA(positives ++ negatives, candidates)
-      else (null, Seq.empty[Linking.Edge])
+        Linking.conceptEntityIsA(positives ++ negatives, candidates)._2
+      else Seq.empty[Linking.Edge]
 
     // --- CPD topics (need entity → ancestor-concept phrases) ---
     val conceptPhraseById: Map[Long, Seq[String]] =

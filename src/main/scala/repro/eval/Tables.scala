@@ -76,8 +76,7 @@ object Tables {
     val graphs = train.map { ex =>
       GCTSPNet.encode(GiantPipeline.qtigOf(ex), GCTSPNet.binaryLabels(ex.gold))
     }
-    val model = RGCNTrainer.train(spark, spark.sparkContext.parallelize(graphs, 16),
-      GCTSPNet.config(2), tc)
+    val model = RGCNTrainer.train(spark, graphs, GCTSPNet.config(2), tc)
 
     // taggers
     // taggers see a single text each (no cluster conditioning), per the paper
@@ -125,8 +124,7 @@ object Tables {
     val graphs = train.map { ex =>
       GCTSPNet.encode(GiantPipeline.qtigOf(ex), GCTSPNet.binaryLabels(ex.gold))
     }
-    val model = RGCNTrainer.train(spark, spark.sparkContext.parallelize(graphs, 16),
-      GCTSPNet.config(2), tc)
+    val model = RGCNTrainer.train(spark, graphs, GCTSPNet.config(2), tc)
 
     val crf = new CRFTagger(3)
     crf.train(train.flatMap(ex => ex.titles.map(t =>
@@ -175,8 +173,7 @@ object Tables {
 
     val tc = RGCNTrainer.TrainConfig(epochs = s.epochs, seed = 13)
     val graphs = train.map(ex => GCTSPNet.encode(GiantPipeline.qtigOf(ex), labeler(ex)))
-    val model = RGCNTrainer.train(spark, spark.sparkContext.parallelize(graphs, 16),
-      GCTSPNet.config(GCTSPNet.ElementClasses), tc)
+    val model = RGCNTrainer.train(spark, graphs, GCTSPNet.config(GCTSPNet.ElementClasses), tc)
 
     val tagData = train.flatMap { ex =>
       val lf = labeler(ex)

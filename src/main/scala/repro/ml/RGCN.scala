@@ -1,19 +1,27 @@
 package repro.ml
 
-import breeze.linalg.{DenseMatrix, DenseVector, sum => bsum}
 import scala.util.Random
 
 /** Relational Graph Convolutional Network (Schlichtkrull et al.) implemented
-  * from scratch with Breeze — the offline stand-in for the paper's
+  * from scratch on flat arrays — the offline stand-in for the paper's
   * PyTorch-based GCTSP-Net encoder (Sec. 3.1, Eq. 3–6).
   *
-  * Layer rule (Eq. 5): h_v' = ReLU( W_0 h_v + Σ_r Σ_{w∈N_r(v)} 1/c_{vw} W_r h_w )
-  * with basis decomposition (Eq. 6): W_r = Σ_b a_{rb} V_b.
+  * Layer rule (Eq. 5): h_v' = ReLU( W_0 h_v + Σ_r Σ_{w∈N_r(v)} 1/c_{v,r} W_r h_w )
+  * with basis decomposition (Eq. 6): W_r = Σ_b a_{rb} V_b, c_{v,r} = |N_r(v)|.
   *
-  * Node classification head is a softmax over `outClasses` (binary phrase
+  * The kernel runs basis-first (the parameter-sharing form, Schlichtkrull et
+  * al. §2.2): per layer it computes Z = H W_0 and P_b = H V_b once per basis
+  * in one matmul against the stacked [W_0 | V_1 … V_B], then walks each
+  * relation's edge list once, z_v += Σ_b (a_{rb} / c_{v,r}) P_b[w]. The
+  * backward pass mirrors it, so a layer costs O(B·n·d² + E·B·d) rather than
+  * the O(R·B·n·d²) of materializing every Â_r H W_r.
+  *
+  * Activations are row-major `Array[Double]` (row per node). Weight matrices
+  * keep the column-major layout of the flat parameter vector. The node
+  * classification head is a softmax over `outClasses` (binary phrase
   * membership uses 2 classes; event key elements use 4). Gradients are exact
-  * (verified by numerical gradient check in tests) and flattened so Spark can
-  * `treeAggregate` them across graphs.
+  * (verified by numerical gradient checks in tests) and flat, so training can
+  * sum them across graphs.
   */
 object RGCN {
 
@@ -28,6 +36,14 @@ object RGCN {
   final case class EncodedGraph(feats: Array[Array[Double]], rels: Array[Array[Int]],
                                 labels: Array[Int], mask: Array[Boolean]) extends Serializable {
     def n: Int = feats.length
+
+    /** Per relation, 1/c_{v,r} for every node v; 0 where v has no in-edges. */
+    @transient private[ml] lazy val invDeg: Array[Array[Double]] = rels.map { edges =>
+      val deg = new Array[Double](n)
+      var i = 0
+      while (i < edges.length) { deg(edges(i)) += 1; i += 2 }
+      deg.map(c => if (c > 0) 1.0 / c else 0.0)
+    }
   }
 
   final case class Config(inDim: Int, hidden: Int, layers: Int, relations: Int,
@@ -44,35 +60,29 @@ object RGCN {
     }
   }
 
-  /** Model parameters, materialized from / flattened to Array[Double]. */
+  /** Model parameters as one flat vector. Per layer: W_0 (in × out), then
+    * V_1 … V_B (in × out each), then a (relations × bases), all column-major;
+    * then the output weights (hidden × outClasses, column-major) and bias.
+    */
   final class Params(val cfg: Config, val flat: Array[Double]) extends Serializable {
     require(flat.length == cfg.nParams, s"expected ${cfg.nParams} params, got ${flat.length}")
-
-    // offsets into `flat` per layer
-    private[ml] def view(): ParamsView = {
-      var off = 0
-      def take(rows: Int, cols: Int): DenseMatrix[Double] = {
-        val m = new DenseMatrix(rows, cols, flat, off); off += rows * cols; m
-      }
-      val layers = (0 until cfg.layers).map { l =>
-        val (di, dout) = cfg.layerDims(l)
-        val w0 = take(di, dout)
-        val vb = Array.fill(cfg.bases)(take(di, dout))
-        val a = take(cfg.relations, cfg.bases)
-        LayerView(w0, vb, a)
-      }.toArray
-      val outW = take(cfg.hidden, cfg.outClasses)
-      val outB = new DenseVector(flat, off, 1, cfg.outClasses)
-      ParamsView(layers, outW, outB)
-    }
   }
 
-  private[ml] final case class LayerView(w0: DenseMatrix[Double],
-                                         vb: Array[DenseMatrix[Double]],
-                                         a: DenseMatrix[Double])
-  private[ml] final case class ParamsView(layers: Array[LayerView],
-                                          outW: DenseMatrix[Double],
-                                          outB: DenseVector[Double])
+  /** Offsets into the flat vector: per layer the stacked [W_0 | V_b…] block
+    * and the a block, then the output weights and bias.
+    */
+  private final class Layout(cfg: Config) {
+    val weights = new Array[Int](cfg.layers)
+    val coeffs = new Array[Int](cfg.layers)
+    private var off = 0
+    for (l <- 0 until cfg.layers) {
+      val (di, dout) = cfg.layerDims(l)
+      weights(l) = off; off += (1 + cfg.bases) * di * dout
+      coeffs(l) = off; off += cfg.relations * cfg.bases
+    }
+    val outW: Int = off
+    val outB: Int = off + cfg.hidden * cfg.outClasses
+  }
 
   /** Glorot-style initialization, deterministic in `seed`. */
   def init(cfg: Config, seed: Long): Params = {
@@ -94,135 +104,203 @@ object RGCN {
     new Params(cfg, flat)
   }
 
-  /** Â_r H: aggregate neighbor rows with 1/c_v normalization (c_v = |N_r(v)|). */
-  private def relAggregate(h: DenseMatrix[Double], edges: Array[Int], n: Int): DenseMatrix[Double] = {
-    val out = DenseMatrix.zeros[Double](n, h.cols)
-    val deg = new Array[Int](n)
-    var i = 0
-    while (i < edges.length) { deg(edges(i)) += 1; i += 2 }
-    i = 0
-    while (i < edges.length) {
-      val v = edges(i); val w = edges(i + 1)
-      val c = 1.0 / deg(v)
-      var j = 0
-      while (j < h.cols) { out(v, j) += h(w, j) * c; j += 1 }
-      i += 2
+  /** out (n × cols, row-major) = h (n × di, row-major) · W, where W is di × cols
+    * column-major at `w(off)`.
+    */
+  private def matmul(h: Array[Double], n: Int, di: Int, w: Array[Double], off: Int,
+                     cols: Int): Array[Double] = {
+    val out = new Array[Double](n * cols)
+    var v = 0
+    while (v < n) {
+      val hv = v * di
+      var c = 0
+      while (c < cols) {
+        val wc = off + c * di
+        var s = 0.0
+        var i = 0
+        while (i < di) { s += h(hv + i) * w(wc + i); i += 1 }
+        out(v * cols + c) = s
+        c += 1
+      }
+      v += 1
     }
     out
   }
 
-  /** Transposed propagation: out(w,:) += in(v,:)/c_v for each edge (v,w). */
-  private def relAggregateT(g: DenseMatrix[Double], edges: Array[Int], n: Int): DenseMatrix[Double] = {
-    val out = DenseMatrix.zeros[Double](n, g.cols)
-    val deg = new Array[Int](n)
-    var i = 0
-    while (i < edges.length) { deg(edges(i)) += 1; i += 2 }
-    i = 0
-    while (i < edges.length) {
-      val v = edges(i); val w = edges(i + 1)
-      val c = 1.0 / deg(v)
-      var j = 0
-      while (j < g.cols) { out(w, j) += g(v, j) * c; j += 1 }
-      i += 2
+  /** Backward of [[matmul]]: gW += hᵀ dOut and, when `dh` is non-null,
+    * dh += dOut Wᵀ.
+    */
+  private def matmulBack(h: Array[Double], n: Int, di: Int, w: Array[Double], gw: Array[Double],
+                         off: Int, cols: Int, dOut: Array[Double], dh: Array[Double]): Unit = {
+    var v = 0
+    while (v < n) {
+      val hv = v * di
+      var c = 0
+      while (c < cols) {
+        val d = dOut(v * cols + c)
+        if (d != 0.0) {
+          val wc = off + c * di
+          var i = 0
+          while (i < di) { gw(wc + i) += h(hv + i) * d; i += 1 }
+          if (dh != null) {
+            i = 0
+            while (i < di) { dh(hv + i) += d * w(wc + i); i += 1 }
+          }
+        }
+        c += 1
+      }
+      v += 1
     }
-    out
   }
 
-  private def relu(m: DenseMatrix[Double]): DenseMatrix[Double] = m.map(x => if (x > 0) x else 0.0)
+  /** Activations of one forward pass. `ys(l)` is n × (1 + B)·d row-major:
+    * the pre-activation z of layer l, then P_1 … P_B.
+    */
+  private final class Forward(val inputs: Array[Array[Double]], val ys: Array[Array[Double]],
+                              val last: Array[Double], val logits: Array[Double])
 
-  /** Forward pass; returns per-layer inputs, pre-activations and final logits. */
-  private def forwardInternal(g: EncodedGraph, pv: ParamsView, cfg: Config)
-    : (Array[DenseMatrix[Double]], Array[DenseMatrix[Double]], DenseMatrix[Double]) = {
+  private def forward(g: EncodedGraph, p: Params, lay: Layout): Forward = {
+    val cfg = p.cfg
+    val w = p.flat
     val n = g.n
-    var h = new DenseMatrix(cfg.inDim, n, g.feats.flatten).t.copy // n × inDim
-    val inputs = new Array[DenseMatrix[Double]](cfg.layers)
-    val preacts = new Array[DenseMatrix[Double]](cfg.layers)
+    val d = cfg.hidden
+    val nb = cfg.bases
+    val inputs = new Array[Array[Double]](cfg.layers)
+    val ys = new Array[Array[Double]](cfg.layers)
+    var h = new Array[Double](n * cfg.inDim)
+    for (v <- 0 until n) System.arraycopy(g.feats(v), 0, h, v * cfg.inDim, cfg.inDim)
+    val a = new Array[Double](nb) // a_{rb} of the current relation
     for (l <- 0 until cfg.layers) {
-      val lv = pv.layers(l)
-      inputs(l) = h
-      val z = h * lv.w0
-      for (r <- 0 until cfg.relations if g.rels(r).nonEmpty) {
-        val m = relAggregate(h, g.rels(r), n)
-        // W_r = Σ_b a_rb V_b  →  M_r W_r = Σ_b a_rb (M_r V_b)
-        for (b <- 0 until cfg.bases) {
-          val arb = lv.a(r, b)
-          if (arb != 0.0) z += (m * lv.vb(b)) * arb
+      val di = cfg.layerDims(l)._1
+      val stride = (1 + nb) * d
+      val y = matmul(h, n, di, w, lay.weights(l), stride)
+      for (r <- 0 until cfg.relations) {
+        val edges = g.rels(r)
+        val inv = g.invDeg(r)
+        for (b <- 0 until nb) a(b) = w(lay.coeffs(l) + r + b * cfg.relations)
+        var e = 0
+        while (e < edges.length) {
+          val v = edges(e); val src = edges(e + 1)
+          val c = inv(v)
+          val zv = v * stride
+          var b = 0
+          while (b < nb) {
+            val s = a(b) * c
+            val pw = src * stride + (1 + b) * d
+            var j = 0
+            while (j < d) { y(zv + j) += s * y(pw + j); j += 1 }
+            b += 1
+          }
+          e += 2
         }
       }
-      preacts(l) = z
-      h = relu(z)
+      inputs(l) = h
+      ys(l) = y
+      h = new Array[Double](n * d)
+      for (v <- 0 until n; j <- 0 until d) {
+        val z = y(v * stride + j)
+        h(v * d + j) = if (z > 0) z else 0.0
+      }
     }
-    val logits = h * pv.outW
-    for (i <- 0 until n; j <- 0 until cfg.outClasses) logits(i, j) += pv.outB(j)
-    (inputs, preacts, logits)
+    val k = cfg.outClasses
+    val logits = matmul(h, n, d, w, lay.outW, k)
+    for (v <- 0 until n; c <- 0 until k) logits(v * k + c) += w(lay.outB + c)
+    new Forward(inputs, ys, h, logits)
+  }
+
+  /** Softmax of row v of the logits into `out`; returns log Σ exp(x - max) and max. */
+  private def softmaxRow(logits: Array[Double], v: Int, k: Int, out: Array[Double]): (Double, Double) = {
+    var m = Double.NegativeInfinity
+    for (c <- 0 until k) m = math.max(m, logits(v * k + c))
+    var s = 0.0
+    for (c <- 0 until k) { out(c) = math.exp(logits(v * k + c) - m); s += out(c) }
+    for (c <- 0 until k) out(c) /= s
+    (math.log(s), m)
   }
 
   /** Per-node class probabilities. */
   def predictProbs(g: EncodedGraph, params: Params): Array[Array[Double]] = {
-    val cfg = params.cfg
-    val (_, _, logits) = forwardInternal(g, params.view(), cfg)
-    (0 until g.n).map { i =>
-      val row = (0 until cfg.outClasses).map(logits(i, _))
-      val m = row.max
-      val ex = row.map(x => math.exp(x - m))
-      val s = ex.sum
-      ex.map(_ / s).toArray
-    }.toArray
+    val k = params.cfg.outClasses
+    val logits = forward(g, params, new Layout(params.cfg)).logits
+    Array.tabulate(g.n) { v =>
+      val row = new Array[Double](k)
+      softmaxRow(logits, v, k, row)
+      row
+    }
   }
 
   /** Mean masked cross-entropy loss and flat gradient for one graph. */
   def lossAndGrad(g: EncodedGraph, params: Params): (Double, Array[Double]) = {
     val cfg = params.cfg
-    val pv = params.view()
-    val gradFlat = new Array[Double](cfg.nParams)
-    val gp = new Params(cfg, gradFlat).view()
-
-    val (inputs, preacts, logits) = forwardInternal(g, pv, cfg)
+    val w = params.flat
+    val lay = new Layout(cfg)
+    val grad = new Array[Double](cfg.nParams)
+    val fw = forward(g, params, lay)
     val n = g.n
+    val d = cfg.hidden
+    val nb = cfg.bases
+    val k = cfg.outClasses
     val nMasked = math.max(1, g.mask.count(identity))
 
     // softmax CE + dLogits
     var loss = 0.0
-    val dLogits = DenseMatrix.zeros[Double](n, cfg.outClasses)
-    for (i <- 0 until n if g.mask(i)) {
-      val row = (0 until cfg.outClasses).map(logits(i, _))
-      val m = row.max
-      val ex = row.map(x => math.exp(x - m))
-      val s = ex.sum
-      val y = g.labels(i)
-      loss += -(row(y) - m - math.log(s)) / nMasked
-      for (j <- 0 until cfg.outClasses)
-        dLogits(i, j) = (ex(j) / s - (if (j == y) 1.0 else 0.0)) / nMasked
+    val dLogits = new Array[Double](n * k)
+    val prob = new Array[Double](k)
+    for (v <- 0 until n if g.mask(v)) {
+      val y = g.labels(v)
+      val (logSum, m) = softmaxRow(fw.logits, v, k, prob)
+      loss += -(fw.logits(v * k + y) - m - logSum) / nMasked
+      for (c <- 0 until k)
+        dLogits(v * k + c) = (prob(c) - (if (c == y) 1.0 else 0.0)) / nMasked
     }
 
     // output layer
-    val hLast = relu(preacts(cfg.layers - 1))
-    gp.outW += hLast.t * dLogits
-    for (j <- 0 until cfg.outClasses) gp.outB(j) += bsum(dLogits(::, j))
-    var dH = dLogits * pv.outW.t
+    var dH = new Array[Double](n * d)
+    matmulBack(fw.last, n, d, w, grad, lay.outW, k, dLogits, dH)
+    for (v <- 0 until n; c <- 0 until k) grad(lay.outB + c) += dLogits(v * k + c)
 
     // backprop through layers
+    val a = new Array[Double](nb) // a_{rb} of the current relation
     for (l <- (cfg.layers - 1) to 0 by -1) {
-      val lv = pv.layers(l); val gl = gp.layers(l)
-      val z = preacts(l)
-      val dZ = DenseMatrix.tabulate(n, z.cols)((i, j) => if (z(i, j) > 0) dH(i, j) else 0.0)
-      val hIn = inputs(l)
-      gl.w0 += hIn.t * dZ
-      val dHin = dZ * lv.w0.t
-      for (r <- 0 until cfg.relations if g.rels(r).nonEmpty) {
-        val m = relAggregate(hIn, g.rels(r), n)
-        val gr = m.t * dZ // d(M_r W_r)/dW_r
-        var wrT: DenseMatrix[Double] = null
-        for (b <- 0 until cfg.bases) {
-          val arb = lv.a(r, b)
-          gl.vb(b) += gr * arb
-          gl.a(r, b) += bsum(gr *:* lv.vb(b))
-          if (wrT == null) wrT = lv.vb(b).t * arb else wrT += lv.vb(b).t * arb
+      val di = cfg.layerDims(l)._1
+      val stride = (1 + nb) * d
+      val y = fw.ys(l)
+      // dY = [dZ | dP_1 … dP_B]
+      val dY = new Array[Double](n * stride)
+      for (v <- 0 until n; j <- 0 until d)
+        if (y(v * stride + j) > 0) dY(v * stride + j) = dH(v * d + j)
+      val aOff = lay.coeffs(l)
+      for (r <- 0 until cfg.relations) {
+        val edges = g.rels(r)
+        val inv = g.invDeg(r)
+        for (b <- 0 until nb) a(b) = w(aOff + r + b * cfg.relations)
+        var e = 0
+        while (e < edges.length) {
+          val v = edges(e); val src = edges(e + 1)
+          val c = inv(v)
+          val zv = v * stride
+          var b = 0
+          while (b < nb) {
+            val s = a(b) * c
+            val pw = src * stride + (1 + b) * d
+            var dot = 0.0
+            var j = 0
+            while (j < d) {
+              val dz = dY(zv + j)
+              dY(pw + j) += s * dz
+              dot += dz * y(pw + j)
+              j += 1
+            }
+            grad(aOff + r + b * cfg.relations) += c * dot
+            b += 1
+          }
+          e += 2
         }
-        dHin += relAggregateT(dZ * wrT, g.rels(r), n)
       }
+      val dHin = if (l > 0) new Array[Double](n * di) else null
+      matmulBack(fw.inputs(l), n, di, w, grad, lay.weights(l), stride, dY, dHin)
       dH = dHin
     }
-    (loss, gradFlat)
+    (loss, grad)
   }
 }

@@ -53,7 +53,7 @@ class GCTSPNetSpec extends SparkSpec {
     val test = corpus.test(corpus.cmd) ++ corpus.dev(corpus.cmd)
     assert(train.size > 30 && test.nonEmpty)
     val graphs = train.map(ex => GCTSPNet.encode(GiantPipeline.qtigOf(ex), GCTSPNet.binaryLabels(ex.gold)))
-    val params = RGCNTrainer.train(spark, spark.sparkContext.parallelize(graphs, 8),
+    val params = RGCNTrainer.train(spark, graphs,
       GCTSPNet.config(2), RGCNTrainer.TrainConfig(epochs = 40, seed = 13))
     val pairs = test.map { ex =>
       (GCTSPNet.minePhrase(GiantPipeline.qtigOf(ex), params), ex.gold)
@@ -71,7 +71,7 @@ class GCTSPNetSpec extends SparkSpec {
       GCTSPNet.encode(GiantPipeline.qtigOf(ex),
         GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation))
     }
-    val params = RGCNTrainer.train(spark, spark.sparkContext.parallelize(graphs, 8),
+    val params = RGCNTrainer.train(spark, graphs,
       GCTSPNet.config(GCTSPNet.ElementClasses), RGCNTrainer.TrainConfig(epochs = 40, seed = 13))
     val pairs = test.flatMap { ex =>
       val lf = GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation)

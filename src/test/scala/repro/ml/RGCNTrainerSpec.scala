@@ -20,9 +20,26 @@ class RGCNTrainerSpec extends SparkSpec {
     val graphs = (1 to 8).map(graph)
     val tc = RGCNTrainer.TrainConfig(epochs = 5, seed = 3)
     val local = RGCNTrainer.trainLocal(graphs, cfg, tc)
-    val dist = RGCNTrainer.train(spark, spark.sparkContext.parallelize(graphs, 4), cfg, tc)
+    for (parts <- Seq(1, 3, 8)) {
+      val dist = RGCNTrainer.trainPartitioned(spark, graphs, cfg, tc, parts)
+      val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
+      assert(maxDiff < 1e-9, s"$parts partitions: parameter divergence $maxDiff")
+      // one partition sums in exactly the local order
+      if (parts == 1) assert(dist.flat.toSeq == local.flat.toSeq)
+    }
+    val dist = RGCNTrainer.train(spark, graphs, cfg, tc)
     val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
     assert(maxDiff < 1e-9, s"parameter divergence $maxDiff")
+  }
+
+  test("two distributed runs on the same input give bitwise-identical parameters") {
+    val graphs = (1 to 11).map(graph)
+    val tc = RGCNTrainer.TrainConfig(epochs = 4, seed = 7)
+    def bits(p: RGCN.Params): Seq[Long] = p.flat.map(java.lang.Double.doubleToRawLongBits).toSeq
+    for (parts <- Seq(3, 8))
+      assert(bits(RGCNTrainer.trainPartitioned(spark, graphs, cfg, tc, parts)) ==
+        bits(RGCNTrainer.trainPartitioned(spark, graphs, cfg, tc, parts)), s"$parts partitions")
+    assert(bits(RGCNTrainer.train(spark, graphs, cfg, tc)) == bits(RGCNTrainer.train(spark, graphs, cfg, tc)))
   }
 
   test("training reduces the aggregate loss") {
@@ -46,7 +63,7 @@ class RGCNTrainerSpec extends SparkSpec {
 
   test("empty graph set is rejected") {
     intercept[IllegalArgumentException] {
-      RGCNTrainer.train(spark, spark.sparkContext.parallelize(Seq.empty[RGCN.EncodedGraph], 1), cfg)
+      RGCNTrainer.train(spark, Seq.empty[RGCN.EncodedGraph], cfg)
     }
   }
 }
