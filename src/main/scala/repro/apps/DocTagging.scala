@@ -1,38 +1,49 @@
 package repro.apps
 
 import repro.core.Normalize
-import repro.nlp.Lang
+import repro.nlp.{Lang, PhraseIndex}
 
 /** Document tagging (Sec. 4, Eq. 12–14): tag a document with concepts it
   * does not necessarily contain, via its key entities and their parent
   * concepts; tag events/topics by longest-common-subsequence plus a semantic
   * match (the paper's Duet matcher is replaced by token-vector cosine — see
   * DESIGN.md substitutions).
+  *
+  * Entity mentions come from one [[repro.nlp.PhraseIndex]] over the entity
+  * dictionary: a body costs O(body length × longest name), not
+  * O(body length × dictionary size). Build the index once and pass it to
+  * the index-taking forms; the `Seq`-taking forms build it per call.
   */
 object DocTagging {
 
+  /** Lowest coherence-weighted score `tagConcepts` keeps. */
+  val MinConceptScore = 0.05
+
   /** Key entities of a document: dictionary entities mentioned in the body,
-    * with mention counts (P(e|d) in Eq. 12 is the normalized count).
+    * with mention counts (P(e|d) in Eq. 12 is the normalized count), in
+    * dictionary order.
     */
-  def keyEntities(body: Seq[String], dictionary: Seq[(Long, Seq[String])]): Seq[(Long, Double)] = {
-    val counts = dictionary.flatMap { case (id, name) =>
-      val c = body.indices.count(i => body.startsWith(name, i))
-      if (c > 0) Some(id -> c.toDouble) else None
+  def keyEntities(body: Seq[String], dictionary: PhraseIndex): Seq[(Long, Double)] = {
+    val counts = dictionary.find(body).toSeq.map { case (e, at) =>
+      dictionary.entries(e)._1 -> at.size.toDouble
     }
     val total = counts.map(_._2).sum
     if (total == 0) Seq.empty else counts.map { case (id, c) => (id, c / total) }
   }
+
+  def keyEntities(body: Seq[String], dictionary: Seq[(Long, Seq[String])]): Seq[(Long, Double)] =
+    keyEntities(body, PhraseIndex(dictionary))
 
   /** Matching-based concept tagging: candidates are parent concepts of the
     * key entities; coherence = TF-IDF similarity between the doc title and
     * the concept's context-enriched representation (its top clicked titles).
     */
   def tagConcepts(title: Seq[String], body: Seq[String],
-                  dictionary: Seq[(Long, Seq[String])],
+                  dictionary: PhraseIndex,
                   parentConcepts: Map[Long, Seq[Long]],
                   conceptRep: Map[Long, Seq[String]],
                   df: Map[String, Int], nDocs: Int,
-                  minScore: Double = 0.05): Seq[(Long, Double)] = {
+                  minScore: Double): Seq[(Long, Double)] = {
     val ents = keyEntities(body, dictionary)
     val cands = ents.flatMap { case (eid, pe) =>
       parentConcepts.getOrElse(eid, Seq.empty).map(c => (c, pe))
@@ -42,6 +53,14 @@ object DocTagging {
       (cid, coherence * (1.0 + grp.map(_._2).sum))
     }.filter(_._2 >= minScore).sortBy(-_._2)
   }
+
+  def tagConcepts(title: Seq[String], body: Seq[String],
+                  dictionary: Seq[(Long, Seq[String])],
+                  parentConcepts: Map[Long, Seq[Long]],
+                  conceptRep: Map[Long, Seq[String]],
+                  df: Map[String, Int], nDocs: Int,
+                  minScore: Double = MinConceptScore): Seq[(Long, Double)] =
+    tagConcepts(title, body, PhraseIndex(dictionary), parentConcepts, conceptRep, df, nDocs, minScore)
 
   /** Probabilistic inference fallback (Eq. 12–14) when the ontology has no
     * parent concept for the key entities: infer concepts from the context
@@ -53,16 +72,20 @@ object DocTagging {
   def inferConcepts(body: Seq[String], dictionary: Seq[(Long, Seq[String])],
                     concepts: Seq[(Long, Seq[String])],
                     window: Int = 5): Seq[(Long, Double)] = {
-    val ents = keyEntities(body, dictionary)
-    val nameOf = dictionary.toMap
+    val index = PhraseIndex(dictionary)
+    val ents = keyEntities(body, index)
+    val mentions = index.find(body)
+    // an id's name and positions are those of its last dictionary entry
+    val entryOf = index.entries.indices.map(e => index.entries(e)._1 -> e).toMap
     // P(c|x): uniform over concepts containing context token x (Eq. 14)
     val conceptsOf: Map[String, Seq[Long]] =
       concepts.flatMap { case (id, p) => p.map(_ -> id) }
         .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
     val scores = collection.mutable.Map[Long, Double]().withDefaultValue(0.0)
     for ((eid, pe) <- ents) {
-      val name = nameOf(eid)
-      val positions = body.indices.filter(i => body.startsWith(name, i))
+      val e = entryOf(eid)
+      val name = index.entries(e)._2
+      val positions = mentions.getOrElse(e, Seq.empty)
       val ctx = positions.flatMap { i =>
         body.slice(math.max(0, i - window), math.min(body.size, i + name.size + window))
       }.filterNot(t => Lang.isStop(t) || Lang.isPunct(t) || name.contains(t))
@@ -98,16 +121,27 @@ object DocTagging {
 
   /** Tag events/topics: LCS over (title + first body clause) above a
     * fraction of the phrase length AND positive semantic match (Sec. 4).
+    *
+    * The LCS runs only for events that can pass: it is at most
+    * #{j : phrase(j) ∈ target}, so an event whose shared-token count is
+    * below `lcsFrac` of its length is skipped without changing the result
+    * (with `lcsFrac` > 0 this drops every event sharing no token). Surviving
+    * events keep their input order, so ties sort as in the full loop.
     */
   def tagEvents(title: Seq[String], body: Seq[String],
                 eventPhrases: Seq[(Long, Seq[String])],
                 lcsFrac: Double = 0.6, simThreshold: Double = 0.25): Seq[(Long, Double)] = {
     val firstClause = body.takeWhile(t => !Lang.isPunct(t))
     val target = title ++ firstClause
+    val inTarget = target.toSet
     eventPhrases.flatMap { case (id, phrase) =>
-      val lcs = lcsLen(phrase, target).toDouble / math.max(1, phrase.size)
-      val sim = semanticSim(phrase, target)
-      if (lcs >= lcsFrac && sim >= simThreshold) Some((id, lcs + sim)) else None
+      val len = math.max(1, phrase.size)
+      if (phrase.count(inTarget).toDouble / len < lcsFrac) None
+      else {
+        val lcs = lcsLen(phrase, target).toDouble / len
+        val sim = semanticSim(phrase, target)
+        if (lcs >= lcsFrac && sim >= simThreshold) Some((id, lcs + sim)) else None
+      }
     }.sortBy(-_._2)
   }
 }

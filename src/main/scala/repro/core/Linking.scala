@@ -98,12 +98,14 @@ object Linking {
 
   val PairFeatureDim = 4
 
-  /** Does `entity` appear within `window` tokens of any of `heads` in `body`? */
-  def headNear(body: Seq[String], entity: Seq[String], heads: Seq[String], window: Int = 4): Boolean = {
-    val entIdx = body.indices.filter(i => body.startsWith(entity, i))
-    val headIdx = body.indices.filter(i => heads.contains(body(i)))
-    entIdx.exists(e => headIdx.exists(h => math.abs(h - e) <= window))
-  }
+  /** Does an entity mention start within `window` tokens of a concept head
+    * token? Both sides are token positions in one doc body: `entityAt` are
+    * the entity's starts from the body's [[repro.nlp.PhraseIndex]] match and
+    * `headAt` the positions of the concept's head tokens, so no body is
+    * rescanned per (concept, entity) pair.
+    */
+  def headNear(entityAt: Seq[Int], headAt: Seq[Int], window: Int = 4): Boolean =
+    entityAt.exists(e => headAt.exists(h => math.abs(h - e) <= window))
 
   /** Train the concept–entity classifier from auto-constructed examples
     * (Fig. 4) and score candidate pairs.

@@ -6,7 +6,8 @@ import repro.eval.Datasets
 import repro.eval.Datasets.MiningExample
 import repro.graph.QTIG
 import repro.ml.{RGCN, RGCNTrainer}
-import repro.nlp.Lang
+import repro.nlp.{Lang, PhraseIndex}
+import scala.collection.immutable.{SortedMap, SortedSet}
 
 /** Attention Ontology assembly: the full GIANT pipeline (Sec. 3) from click
   * log to linked ontology, plus gold-referenced evaluation of node and edge
@@ -133,16 +134,32 @@ object GiantPipeline {
     val docById = log.docRows.map(d => d.doc_id -> d).toMap
     val entityByName = onto.entities.map(e => e.name -> e).toMap
     val queryById = log.queryRows.map(q => q.query_id -> q).toMap
+    val conceptById = conceptNodes.map(n => n.id -> n).toMap
 
-    def mentions(body: Seq[String], name: Seq[String]): Boolean =
-      body.indices.exists(i => body.startsWith(name, i))
+    // every doc body matched once: doc → entity index (into onto.entities)
+    // → ascending mention starts
+    val entityIndex = PhraseIndex(onto.entities.map(e => (e.id, e.name)))
+    val entityAt = onto.entities.indices.map(e => onto.entities(e).id -> e).toMap
+    val mentionsOf: Map[Long, SortedMap[Int, Seq[Int]]] =
+      docById.map { case (id, d) => id -> entityIndex.find(d.body) }
 
-    // per concept node: docs, mentioned entities, head tokens
+    // per concept node: docs, head tokens, and each doc's mentions and
+    // head-token positions
+    final case class DocView(mentions: SortedMap[Int, Seq[Int]], headAt: Seq[Int])
     val conceptDocs: Map[Long, Seq[ClickLogGen.DocRow]] =
       conceptNodes.map(n => n.id -> n.docIds.flatMap(docById.get)).toMap
     val headTokensOf: Map[Long, Seq[String]] = conceptNodes.map { n =>
       n.id -> n.phrase.filter(t => Lang.info(t).pos == "NOUN")
     }.toMap
+    def viewOf(cid: Long, body: Seq[String], mentions: SortedMap[Int, Seq[Int]]): DocView =
+      DocView(mentions, body.indices.filter(i => headTokensOf(cid).contains(body(i))))
+    val conceptViews: Map[Long, Seq[DocView]] = conceptDocs.map { case (cid, docs) =>
+      cid -> docs.map(d => viewOf(cid, d.body, mentionsOf(d.doc_id)))
+    }
+    // entities mentioned in any of a concept's docs, in onto.entities order
+    val mentionedBy: Map[Long, SortedSet[Int]] = conceptViews.map { case (cid, vs) =>
+      cid -> SortedSet.from(vs.flatMap(_.mentions.keys))
+    }
 
     // session counts: concept seed query followed by an entity query
     val seedToConcept = conceptNodes.flatMap(n => n.seeds.map(_ -> n.id)).toMap
@@ -161,45 +178,42 @@ object GiantPipeline {
       }.groupBy(identity).view.mapValues(_.size).toMap
     }
 
-    def features(cid: Long, ent: OntoGen.GoldEntity,
-                 extraBody: Option[Seq[String]]): Array[Double] = {
-      val docs = conceptDocs(cid)
-      val bodies = docs.map(_.body) ++ extraBody.toSeq
-      val co = bodies.count(mentions(_, ent.name))
-      val near = bodies.count(b => Linking.headNear(b, ent.name, headTokensOf(cid)))
-      Linking.pairFeatures(co, bodies.size, near, sessionPairs.getOrElse((cid, ent.id), 0))
+    def features(cid: Long, e: Int, extra: Option[DocView]): Array[Double] = {
+      val views = conceptViews(cid) ++ extra.toSeq
+      val co = views.count(_.mentions.contains(e))
+      val near = views.count(v => v.mentions.get(e).exists(Linking.headNear(_, v.headAt)))
+      Linking.pairFeatures(co, views.size, near,
+        sessionPairs.getOrElse((cid, onto.entities(e).id), 0))
     }
 
     val rng = new scala.util.Random(99)
     // positives: consecutive (concept, entity) sessions with a mentioning doc
     val positives = sessionPairs.keys.toSeq.sortBy(identity).flatMap { case (cid, eid) =>
-      val ent = onto.entityById(eid)
-      if (conceptDocs(cid).exists(d => mentions(d.body, ent.name)))
-        Some((features(cid, ent, None), true))
+      val e = entityAt(eid)
+      if (mentionedBy(cid).contains(e)) Some((features(cid, e, None), true))
       else None
     }
     // negatives: same-category non-member entity inserted at a random doc position
+    val entitiesOfCategory: Map[String, Seq[Int]] =
+      onto.entities.indices.groupBy(onto.entities(_).category)
     val negatives = sessionPairs.keys.toSeq.sortBy(identity).flatMap { case (cid, _) =>
-      val node = conceptNodes.find(_.id == cid).get
-      val cat = exampleBySeed(node.seeds.head).category
-      val cands = onto.entities.filter(e => e.category == cat &&
-        !conceptDocs(cid).exists(d => mentions(d.body, e.name)))
+      val cat = exampleBySeed(conceptById(cid).seeds.head).category
+      val cands = entitiesOfCategory.getOrElse(cat, Seq.empty).filterNot(mentionedBy(cid))
       if (cands.isEmpty || conceptDocs(cid).isEmpty) None
       else {
         val neg = cands(rng.nextInt(cands.size))
         val body = conceptDocs(cid)(rng.nextInt(conceptDocs(cid).size)).body
         val at = rng.nextInt(body.size + 1)
-        val inserted = body.take(at) ++ neg.name ++ body.drop(at)
-        Some((features(cid, neg, Some(inserted)), false))
+        val inserted = body.take(at) ++ onto.entities(neg).name ++ body.drop(at)
+        Some((features(cid, neg, Some(viewOf(cid, inserted, entityIndex.find(inserted)))), false))
       }
     }
 
     // candidates: (concept, entity) pairs with at least one mentioning doc
     val candidates = for {
       n <- conceptNodes
-      ent <- onto.entities
-      if conceptDocs(n.id).exists(d => mentions(d.body, ent.name))
-    } yield (n.id, ent.id, features(n.id, ent, None))
+      e <- mentionedBy(n.id).toSeq
+    } yield (n.id, onto.entities(e).id, features(n.id, e, None))
 
     val ceEdges =
       if (positives.nonEmpty && negatives.nonEmpty)
@@ -262,7 +276,7 @@ object GiantPipeline {
 
     // correlate edges from doc-body entity co-occurrence (DataFrame agg)
     val docEntities = log.docRows.flatMap { d =>
-      onto.entities.filter(e => mentions(d.body, e.name)).map(e => (d.doc_id, e.id))
+      mentionsOf(d.doc_id).keys.toSeq.map(e => (d.doc_id, onto.entities(e).id))
     }.toDF("doc_id", "entity_id")
     val coPairs = Linking.entityCooccurrence(docEntities)
       .collect().toSeq.map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))

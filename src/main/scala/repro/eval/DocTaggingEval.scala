@@ -2,7 +2,7 @@ package repro.eval
 
 import repro.apps.DocTagging
 import repro.core.GiantPipeline
-import repro.nlp.Lang
+import repro.nlp.PhraseIndex
 
 /** Gold-referenced evaluation of document tagging (the Sec. 5.3 in-text
   * precision/coverage numbers): tag every generated doc with concepts and
@@ -18,7 +18,7 @@ object DocTaggingEval {
   def run(res: GiantPipeline.Result): Report = {
     val onto = res.onto
     val built = res.built
-    val dictionary = onto.entities.map(e => (e.id, e.name))
+    val dictionary = PhraseIndex(onto.entities.map(e => (e.id, e.name)))
     val parentConcepts: Map[Long, Seq[Long]] =
       built.edges.filter(_.how == "entity-concept")
         .groupBy(_.src).view.mapValues(_.map(_.dst)).toMap
@@ -52,7 +52,7 @@ object DocTaggingEval {
     val perCat = collection.mutable.Map[String, (Int, Int)]().withDefaultValue((0, 0))
     for (d <- res.log.docRows) {
       val tags = DocTagging.tagConcepts(d.title, d.body, dictionary,
-        parentConcepts, conceptRep, df, nDocs)
+        parentConcepts, conceptRep, df, nDocs, DocTagging.MinConceptScore)
       if (tags.nonEmpty) {
         cTagged += 1
         val ok = conceptTagCorrect(tags.head._1, d.gold_attn)

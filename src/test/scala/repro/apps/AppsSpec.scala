@@ -1,6 +1,21 @@
 package repro.apps
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+
+/** Fixed-seed ScalaCheck runner shared by the apps specs. */
+private object AppsCheck {
+  def apply(p: Prop): Unit = {
+    val r = Check.check(Check.Parameters.default.withMinSuccessfulTests(300)
+      .withInitialSeed(Seed(20200614L)), p)
+    assert(r.passed, org.scalacheck.util.Pretty.pretty(r))
+  }
+
+  /** Small alphabets make repeated and shared tokens common. */
+  def phrase(tokens: Seq[String], maxLen: Int): Gen[Seq[String]] =
+    Gen.choose(0, maxLen).flatMap(Gen.listOfN(_, Gen.oneOf(tokens)))
+}
 
 class DocTaggingSpec extends AnyFunSuite {
 
@@ -57,6 +72,36 @@ class DocTaggingSpec extends AnyFunSuite {
       (60L, Seq("malkar", "retires")))
     val tags = DocTagging.tagEvents(title, body, events)
     assert(tags.map(_._1) == Seq(50L))
+  }
+
+  /** `tagEvents` as it was before the shared-token bound: LCS for every event. */
+  private def tagEventsFull(title: Seq[String], body: Seq[String],
+                            eventPhrases: Seq[(Long, Seq[String])],
+                            lcsFrac: Double, simThreshold: Double): Seq[(Long, Double)] = {
+    val target = title ++ body.takeWhile(t => !repro.nlp.Lang.isPunct(t))
+    eventPhrases.flatMap { case (id, phrase) =>
+      val lcs = DocTagging.lcsLen(phrase, target).toDouble / math.max(1, phrase.size)
+      val sim = DocTagging.semanticSim(phrase, target)
+      if (lcs >= lcsFrac && sim >= simThreshold) Some((id, lcs + sim)) else None
+    }.sortBy(-_._2)
+  }
+
+  test("property: tagEvents equals the unbounded LCS loop") {
+    val words = Seq("a", "b", "c", "d", "e")
+    val inputs = for {
+      events <- Gen.choose(0, 12).flatMap(Gen.listOfN(_,
+        Gen.zip(Gen.choose(1L, 20L), AppsCheck.phrase(words, 5))))
+      title <- AppsCheck.phrase(words, 5)
+      body <- AppsCheck.phrase(words :+ "|", 6)
+      // k/m hits the bound exactly for an event of length m sharing k tokens
+      lcsFrac <- Gen.oneOf(Gen.oneOf(0.0, 0.25, 0.6, 1.0),
+        Gen.choose(1, 5).flatMap(m => Gen.choose(0, m).map(_.toDouble / m)))
+      simThreshold <- Gen.oneOf(0.0, 0.25, 0.5)
+    } yield (events, title, body, lcsFrac, simThreshold)
+    AppsCheck(Prop.forAllNoShrink(inputs) { case (events, title, body, lcsFrac, simThreshold) =>
+      DocTagging.tagEvents(title, body, events, lcsFrac, simThreshold) ==
+        tagEventsFull(title, body, events, lcsFrac, simThreshold)
+    })
   }
 }
 
@@ -128,5 +173,25 @@ class QueryRewriteSpec extends AnyFunSuite {
   test("no concept and no entity → no output") {
     assert(rewrite(Seq("luxury", "suv"), idx).isEmpty)
     assert(recommend(Seq("luxury", "suv"), idx).isEmpty)
+  }
+
+  /** Detection as it was before the index: filter, then stable sort. */
+  private def longestScan(query: Seq[String], dict: Seq[(Long, Seq[String])]) =
+    dict.filter { case (_, p) => p.nonEmpty && query.containsSlice(p) }
+      .sortBy { case (id, p) => (-p.size, id) }.headOption
+
+  test("property: detectConcept and detectEntity equal the filter-and-sort scan") {
+    val words = Seq("a", "b", "c", "d")
+    val dict = Gen.choose(0, 10).flatMap(Gen.listOfN(_,
+      Gen.zip(Gen.choose(1L, 6L), AppsCheck.phrase(words, 3))))
+    val inputs = for {
+      concepts <- dict
+      entities <- dict
+      query <- AppsCheck.phrase(words, 8)
+    } yield (Index(concepts, entities, Map.empty, Map.empty), query)
+    AppsCheck(Prop.forAllNoShrink(inputs) { case (ix, query) =>
+      detectConcept(query, ix) == longestScan(query, ix.conceptPhrases) &&
+        detectEntity(query, ix) == longestScan(query, ix.entityNames)
+    })
   }
 }

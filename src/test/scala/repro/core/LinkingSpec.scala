@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.nlp.PhraseIndex
 
 class LinkingSpec extends SparkSpec {
   import spark.implicits._
@@ -54,11 +55,16 @@ class LinkingSpec extends SparkSpec {
   }
 
   test("headNear detects entity near head tokens within the window") {
+    val zorvex = PhraseIndex(Seq(7L -> Seq("zorvex")))
+    def near(body: Seq[String], head: String, window: Int = 4) =
+      Linking.headNear(zorvex.find(body).getOrElse(0, Seq.empty),
+        body.indices.filter(body(_) == head), window)
     val body = Seq("zorvex", "is", "famous", "runner", "guide")
-    assert(Linking.headNear(body, Seq("zorvex"), Seq("runner"), window = 4))
-    assert(!Linking.headNear(body, Seq("zorvex"), Seq("sitcom")))
+    assert(near(body, "runner", window = 4))
+    assert(!near(body, "sitcom"))
     val far = Seq("zorvex") ++ Seq.fill(10)("guide") ++ Seq("runner")
-    assert(!Linking.headNear(far, Seq("zorvex"), Seq("runner"), window = 4))
+    assert(!near(far, "runner", window = 4))
+    assert(near(far, "runner", window = 11))
   }
 
   test("conceptEntityIsA trains and classifies") {

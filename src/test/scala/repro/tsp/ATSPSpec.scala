@@ -1,5 +1,7 @@
 package repro.tsp
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class ATSPSpec extends AnyFunSuite {
@@ -63,5 +65,22 @@ class ATSPSpec extends AnyFunSuite {
     val d = Array.tabulate(n, n)((i, j) => if (j == i + 1) 1.0 else if (i == j) 0.0 else 5.0)
     val got = ATSP.solvePath(d)
     assert(pathCost(d, got) <= 5.0 * 2 + (k - 1))
+  }
+
+  test("property: exact path cost equals the brute-force minimum for k <= 7") {
+    // asymmetric costs in [0, 10) with some Unreachable arcs
+    val cost = Gen.frequency(4 -> Gen.choose(0.0, 10.0), 1 -> Gen.const(ATSP.Unreachable))
+    val instances = for {
+      k <- Gen.choose(0, 7)
+      rows <- Gen.listOfN((k + 2) * (k + 2), cost)
+    } yield Array.tabulate(k + 2, k + 2)((i, j) => if (i == j) 0.0 else rows(i * (k + 2) + j))
+    val r = Check.check(Check.Parameters.default.withMinSuccessfulTests(150)
+      .withInitialSeed(Seed(20200614L)), Prop.forAllNoShrink(instances) { d =>
+        val k = d.length - 2
+        val got = ATSP.solvePath(d)
+        val best = (1 to k).permutations.map(p => pathCost(d, p)).min
+        got.sorted == (1 to k) && math.abs(pathCost(d, got) - best) <= 1e-9 * math.max(1.0, best)
+      })
+    assert(r.passed, org.scalacheck.util.Pretty.pretty(r))
   }
 }
