@@ -2,54 +2,37 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.eval.{DocTaggingEval, Tables}
+import repro.eval.{DocTaggingEval, TablePrinter, Tables}
 
-/** Shared bench state: one data generation + one pipeline run + one
-  * prepared corpus for all table benches (suites run sequentially in one
-  * JVM, so these memoize).
+/** Shared bench state: one data generation and one pipeline run for all
+  * table benches (suites run sequentially in one JVM, so these memoize).
+  * Tables 5–7 score the run's own GCTSP-Net heads.
   */
 object BenchShared {
   lazy val spark = SparkSpec.shared
-  lazy val scale: Tables.Scale = Tables.BenchScale
-  lazy val prep: Tables.Prepared = Tables.prepare(spark, scale)
   lazy val pipeline: (repro.core.GiantPipeline.Result, Tables.OntologyReport) =
-    Tables.tables1and2(spark, scale)
+    Tables.tables1and2(spark, Tables.BenchScale)
 
-  def banner(s: String): Unit = println(s"\n================ $s ================")
+  def print(lines: Seq[String]): Unit = lines.foreach(println)
 }
 
-/** Table 1 — nodes in the attention ontology (paper: 1,206 categories,
-  * 460,652 concepts, 12,679 topics, 86,253 events, 1,980,841 entities).
-  * Ours is a scaled-down corpus; the *ordering* of magnitudes must hold.
+/** Table 1 — nodes in the attention ontology. Ours is a scaled-down corpus;
+  * the *ordering* of magnitudes must hold.
   */
 class Table1NodesBench extends AnyFunSuite {
   test("Table 1: node counts") {
-    val (res, report) = BenchShared.pipeline
-    BenchShared.banner("TABLE 1: nodes in the attention ontology")
-    val paper = Map("category" -> 1206L, "concept" -> 460652L, "topic" -> 12679L,
-      "event" -> 86253L, "entity" -> 1980841L)
-    println(f"${"kind"}%-10s ${"paper"}%10s ${"ours"}%10s")
-    for (k <- Seq("category", "concept", "topic", "event", "entity"))
-      println(f"$k%-10s ${paper(k)}%10d ${report.nodeCounts.getOrElse(k, 0L)}%10d")
-    println(f"mined concept phrase accuracy: ${report.conceptPhraseAccuracy}%.3f")
-    println(f"mined event   phrase accuracy: ${report.eventPhraseAccuracy}%.3f")
+    val (_, report) = BenchShared.pipeline
+    BenchShared.print(TablePrinter.table1(report))
     val k = report.nodeCounts
     assert(k("entity") > k("concept") && k("event") > k("topic"))
   }
 }
 
-/** Table 2 — edges in the attention ontology (paper: isA 490,741 @95%+,
-  * correlate 1,080,344 @95%+, involve 160,485 @99%+).
-  */
+/** Table 2 — edges in the attention ontology, judged against the gold. */
 class Table2EdgesBench extends AnyFunSuite {
   test("Table 2: edge counts and accuracy") {
     val (_, report) = BenchShared.pipeline
-    BenchShared.banner("TABLE 2: edges in the attention ontology")
-    val paperN = Map("isA" -> 490741L, "correlate" -> 1080344L, "involve" -> 160485L)
-    val paperAcc = Map("isA" -> 0.95, "correlate" -> 0.95, "involve" -> 0.99)
-    println(f"${"kind"}%-10s ${"paper n"}%10s ${"paper acc"}%10s ${"ours n"}%8s ${"ours acc"}%9s")
-    for (s <- report.edgeStats)
-      println(f"${s.kind}%-10s ${paperN(s.kind)}%10d ${paperAcc(s.kind)}%10.2f ${s.count}%8d ${s.accuracy}%9.3f")
+    BenchShared.print(TablePrinter.table2(report))
     for (s <- report.edgeStats)
       assert(s.accuracy > 0.85, f"${s.kind} accuracy ${s.accuracy}%.3f below paper band")
   }
@@ -58,100 +41,55 @@ class Table2EdgesBench extends AnyFunSuite {
 /** Tables 3 & 4 — showcases of mined concepts and events/topics. */
 class Table3And4ShowcaseBench extends AnyFunSuite {
   test("Table 3: concept showcases") {
-    val (res, _) = BenchShared.pipeline
-    BenchShared.banner("TABLE 3: concepts with categories and instances")
-    val rows = Tables.table3(res, k = 6)
-    rows.foreach(c => println(s"[${c.category}] '${c.concept}'  instances: ${c.instances.mkString(", ")}"))
+    val rows = Tables.table3(BenchShared.pipeline._1, k = 6)
+    BenchShared.print(TablePrinter.table3(rows))
     assert(rows.nonEmpty)
   }
 
   test("Table 4: event and topic showcases") {
-    val (res, _) = BenchShared.pipeline
-    BenchShared.banner("TABLE 4: topics with events and involved entities")
-    val rows = Tables.table4(res, k = 6)
-    rows.foreach(e => println(
-      s"[${e.category}] topic='${e.topic}'\n  events: ${e.events.mkString(" | ")}\n  entities: ${e.entities.mkString(", ")}"))
+    val rows = Tables.table4(BenchShared.pipeline._1, k = 6)
+    BenchShared.print(TablePrinter.table4(rows))
     assert(rows.nonEmpty)
   }
 }
 
-/** Table 5 — concept mining on CMD (paper EM/F1/COV):
-  * TextRank .19/.74/1, AutoPhrase .07/.48/.94, Match .15/.31/.36,
-  * Align .70/.89/.96, MatchAlign .65/.88/.97, Q-LSTM-CRF .72/.88/.97,
-  * T-LSTM-CRF .31/.63/.91, GCTSP-Net .78/.96/1.
-  */
+/** Table 5 — concept mining on CMD: GCTSP-Net leads every method on EM and F1. */
 class Table5ConceptMiningBench extends AnyFunSuite {
   test("Table 5: concept mining comparison") {
-    val rows = Tables.table5(BenchShared.spark, BenchShared.prep, BenchShared.scale)
-    BenchShared.banner("TABLE 5: concept mining (CMD)")
-    val paper = Map(
-      "TextRank" -> (0.1941, 0.7356, 1.0), "AutoPhrase" -> (0.0725, 0.4839, 0.9353),
-      "Match" -> (0.1494, 0.3054, 0.3639), "Align" -> (0.7016, 0.8895, 0.9611),
-      "MatchAlign" -> (0.6462, 0.8814, 0.97), "Q-LSTM-CRF" -> (0.7171, 0.8828, 0.9731),
-      "T-LSTM-CRF" -> (0.3106, 0.6333, 0.9062), "GCTSP-Net" -> (0.783, 0.9576, 1.0))
-    println(f"${"Method"}%-12s | ${"paper EM"}%8s ${"F1"}%6s ${"COV"}%6s | ${"ours EM"}%8s ${"F1"}%6s ${"COV"}%6s")
-    for (r <- rows; (pe, pf, pc) = paper(r.method))
-      println(f"${r.method}%-12s | $pe%8.4f $pf%6.4f $pc%6.4f | ${r.em}%8.4f ${r.f1}%6.4f ${r.cov}%6.4f")
+    val rows = Tables.table5(BenchShared.pipeline._1)
+    BenchShared.print(TablePrinter.table5(rows))
     val g = rows.find(_.method == "GCTSP-Net").get
     for (r <- rows if r.method != "GCTSP-Net") assert(g.f1 >= r.f1 && g.em >= r.em)
   }
 }
 
-/** Table 6 — event mining on EMD (paper EM/F1/COV):
-  * TextRank .40/.81/1, CoverRank .47/.82/1, TextSummary .005/.11/1,
-  * LSTM-CRF .46/.85/1, GCTSP-Net .52/.86/.997.
-  */
+/** Table 6 — event mining on EMD: GCTSP-Net leads on EM; TextSummary collapses. */
 class Table6EventMiningBench extends AnyFunSuite {
   test("Table 6: event mining comparison") {
-    val rows = Tables.table6(BenchShared.spark, BenchShared.prep, BenchShared.scale)
-    BenchShared.banner("TABLE 6: event mining (EMD)")
-    val paper = Map(
-      "TextRank" -> (0.3968, 0.8102, 1.0), "CoverRank" -> (0.4663, 0.8169, 1.0),
-      "TextSummary" -> (0.0047, 0.1064, 1.0), "LSTM-CRF" -> (0.4597, 0.8469, 1.0),
-      "GCTSP-Net" -> (0.5164, 0.8562, 0.9972))
-    println(f"${"Method"}%-12s | ${"paper EM"}%8s ${"F1"}%6s ${"COV"}%6s | ${"ours EM"}%8s ${"F1"}%6s ${"COV"}%6s")
-    for (r <- rows; (pe, pf, pc) = paper(r.method))
-      println(f"${r.method}%-12s | $pe%8.4f $pf%6.4f $pc%6.4f | ${r.em}%8.4f ${r.f1}%6.4f ${r.cov}%6.4f")
+    val rows = Tables.table6(BenchShared.pipeline._1)
+    BenchShared.print(TablePrinter.table6(rows))
     val g = rows.find(_.method == "GCTSP-Net").get
     for (r <- rows if r.method != "GCTSP-Net") assert(g.em >= r.em)
     assert(rows.find(_.method == "TextSummary").get.em < 0.05)
   }
 }
 
-/** Table 7 — event key elements recognition (paper macro/micro/weighted):
-  * LSTM .21/.55/.66, LSTM-CRF .26/.65/.72, GCTSP-Net .63/.94/.93.
-  */
+/** Table 7 — event key elements recognition: GCTSP-Net leads on micro and weighted F1. */
 class Table7KeyElementsBench extends AnyFunSuite {
   test("Table 7: event key elements recognition") {
-    val rows = Tables.table7(BenchShared.spark, BenchShared.prep, BenchShared.scale)
-    BenchShared.banner("TABLE 7: event key elements recognition")
-    val paper = Map(
-      "LSTM" -> (0.2108, 0.5532, 0.6563), "LSTM-CRF" -> (0.261, 0.6468, 0.7238),
-      "GCTSP-Net" -> (0.6291, 0.9438, 0.9331))
-    println(f"${"Method"}%-12s | ${"paper ma"}%8s ${"mi"}%6s ${"wt"}%6s | ${"ours ma"}%8s ${"mi"}%6s ${"wt"}%6s")
-    for (r <- rows; (pm, pi, pw) = paper(r.method))
-      println(f"${r.method}%-12s | $pm%8.4f $pi%6.4f $pw%6.4f | ${r.macroF1}%8.4f ${r.microF1}%6.4f ${r.weightedF1}%6.4f")
+    val rows = Tables.table7(BenchShared.pipeline._1)
+    BenchShared.print(TablePrinter.table7(rows))
     val g = rows.find(_.method == "GCTSP-Net").get
     for (r <- rows if r.method != "GCTSP-Net")
       assert(g.microF1 >= r.microF1 && g.weightedF1 >= r.weightedF1)
   }
 }
 
-/** Sec. 5.3 in-text numbers — document tagging precision (paper: concept
-  * precision 0.88 overall, event precision 0.96; 35% of docs get a concept
-  * tag, 4% an event tag).
-  */
+/** Sec. 5.3 in-text numbers — document tagging precision and coverage. */
 class DocTaggingBench extends AnyFunSuite {
   test("Sec 5.3: document tagging precision") {
-    val (res, _) = BenchShared.pipeline
-    val r = DocTaggingEval.run(res)
-    BenchShared.banner("SEC 5.3: document tagging")
-    for ((cat, p, n) <- r.perCategory)
-      println(f"$cat%-12s concept precision=$p%.3f over $n%5d tagged docs")
-    println(f"overall concept precision ${r.conceptPrecision}%.3f (paper: 0.88)")
-    println(f"overall event   precision ${r.eventPrecision}%.3f (paper: 0.96)")
-    println(f"concept coverage ${r.conceptCoverage}%.3f (paper: 0.35)")
-    println(f"event   coverage ${r.eventCoverage}%.3f (paper: 0.04)")
+    val r = DocTaggingEval.run(BenchShared.pipeline._1)
+    BenchShared.print(TablePrinter.docTagging(r))
     assert(r.conceptPrecision > 0.7)
     assert(r.eventPrecision > 0.7)
   }

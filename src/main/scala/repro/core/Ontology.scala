@@ -57,24 +57,34 @@ object GiantPipeline {
   def qtigOf(ex: MiningExample): QTIG.Graph =
     QTIG.build(ex.queries.map(_.tokens), ex.titles.map(_.tokens))
 
-  /** Train the three GCTSP-Net heads on the train splits (Spark-distributed). */
+  /** Seed of every GCTSP-Net head's initialisation and batch order. */
+  val HeadSeed = 13L
+
+  /** Binary labels (token in the gold phrase) of a concept or event cluster. */
+  def phraseLabels(ex: MiningExample): String => Int = GCTSPNet.binaryLabels(ex.gold)
+
+  /** 4-class key-element labels of an event cluster: only the gold event's own
+    * entity, trigger and location count as elements.
+    */
+  def elementLabels(ex: MiningExample): String => Int =
+    GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation)
+
+  /** Train one GCTSP-Net head on `examples` (Spark-distributed). */
+  def trainHead(spark: SparkSession, examples: Seq[MiningExample],
+                labels: MiningExample => String => Int, classes: Int,
+                epochs: Int, seed: Long): RGCN.Params =
+    RGCNTrainer.train(spark, examples.map(ex => GCTSPNet.encode(qtigOf(ex), labels(ex))),
+      GCTSPNet.config(classes), RGCNTrainer.TrainConfig(epochs = epochs, seed = seed))
+
+  /** Train the three GCTSP-Net heads on the train splits. */
   def trainModels(spark: SparkSession, corpus: Datasets.Corpus,
-                  epochs: Int, seed: Long = 13): TrainedModels = {
-    def binaryGraphs(xs: Seq[MiningExample]): Seq[RGCN.EncodedGraph] =
-      xs.map { ex => GCTSPNet.encode(qtigOf(ex), GCTSPNet.binaryLabels(ex.gold)) }
-    def elementGraphs(xs: Seq[MiningExample]): Seq[RGCN.EncodedGraph] =
-      xs.map { ex =>
-        GCTSPNet.encode(qtigOf(ex),
-          GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation))
-      }
-    val tc = RGCNTrainer.TrainConfig(epochs = epochs, seed = seed)
+                  epochs: Int, seed: Long = HeadSeed): TrainedModels = {
     val cmdTrain = corpus.train(corpus.cmd)
     val emdTrain = corpus.train(corpus.emd)
-    val conceptMiner = RGCNTrainer.train(spark, binaryGraphs(cmdTrain), GCTSPNet.config(2), tc)
-    val eventMiner = RGCNTrainer.train(spark, binaryGraphs(emdTrain), GCTSPNet.config(2), tc)
-    val elementClassifier = RGCNTrainer.train(spark, elementGraphs(emdTrain),
-      GCTSPNet.config(GCTSPNet.ElementClasses), tc)
-    TrainedModels(conceptMiner, eventMiner, elementClassifier)
+    TrainedModels(
+      trainHead(spark, cmdTrain, phraseLabels, 2, epochs, seed),
+      trainHead(spark, emdTrain, phraseLabels, 2, epochs, seed),
+      trainHead(spark, emdTrain, elementLabels, GCTSPNet.ElementClasses, epochs, seed))
   }
 
   /** Mine phrases for every cluster with the trained models (Algorithm 1). */
@@ -292,13 +302,9 @@ object GiantPipeline {
     Built(allNodes, allEdges, conceptNodes, eventNodes, topics, categoryIdOf)
   }
 
-  /** Run everything end to end. */
-  def run(spark: SparkSession, ontoParams: OntoGen.Params,
-          logParams: ClickLogGen.Params = ClickLogGen.Params(),
-          epochs: Int = 60): Result = {
-    val onto = OntoGen.generate(ontoParams)
-    val log = ClickLogGen.generate(spark, onto, logParams)
-    val corpus = Datasets.build(spark, onto, log)
+  /** Train, mine and assemble the ontology from generated data. */
+  def run(spark: SparkSession, onto: OntoGen.GoldOntology, log: ClickLogGen.ClickLog,
+          corpus: Datasets.Corpus, epochs: Int): Result = {
     val models = trainModels(spark, corpus, epochs)
     val (mc, me) = minePhrases(spark, corpus, models)
     val built = assemble(spark, onto, log, corpus, models, mc, me)

@@ -5,11 +5,10 @@ import repro.baselines._
 import repro.core._
 import repro.data.{ClickLogGen, OntoGen}
 import repro.eval.Datasets.MiningExample
-import repro.ml.{CRFTagger, RGCNTrainer, SoftmaxTagger}
-import repro.nlp.Lang
+import repro.ml.{CRFTagger, RGCN, SoftmaxTagger}
 
-/** One runner per evaluation table (Sec. 5). Shared by the spark-submit jobs
-  * in `jobs/` and the bench suites in `bench/`.
+/** One runner per evaluation table (Sec. 5). Shared by the spark-submit job
+  * in `jobs/` and the bench suites in `bench/`; `TablePrinter` formats them.
   */
 object Tables {
 
@@ -62,23 +61,43 @@ object Tables {
   }
 
   // ------------------------------------------------------------------
+  // Tables 5–7 score the GCTSP-Net heads of a pipeline run. The
+  // `(spark, prep, s)` forms serve callers without a run: each trains only
+  // the head its table scores, as `GiantPipeline.trainModels` trains it.
+  // ------------------------------------------------------------------
+
+  def conceptHead(spark: SparkSession, prep: Prepared, s: Scale): RGCN.Params =
+    GiantPipeline.trainHead(spark, prep.corpus.train(prep.corpus.cmd),
+      GiantPipeline.phraseLabels, 2, s.epochs, GiantPipeline.HeadSeed)
+
+  def eventHead(spark: SparkSession, prep: Prepared, s: Scale): RGCN.Params =
+    GiantPipeline.trainHead(spark, prep.corpus.train(prep.corpus.emd),
+      GiantPipeline.phraseLabels, 2, s.epochs, GiantPipeline.HeadSeed)
+
+  def elementHead(spark: SparkSession, prep: Prepared, s: Scale): RGCN.Params =
+    GiantPipeline.trainHead(spark, prep.corpus.train(prep.corpus.emd),
+      GiantPipeline.elementLabels, GCTSPNet.ElementClasses, s.epochs, GiantPipeline.HeadSeed)
+
+  def table5(spark: SparkSession, prep: Prepared, s: Scale): Seq[PhraseScore] =
+    table5(prep.corpus, conceptHead(spark, prep, s))
+  def table6(spark: SparkSession, prep: Prepared, s: Scale): Seq[PhraseScore] =
+    table6(prep.corpus, eventHead(spark, prep, s))
+  def table7(spark: SparkSession, prep: Prepared, s: Scale): Seq[ClassScore] =
+    table7(prep.corpus, elementHead(spark, prep, s))
+
+  def table5(res: GiantPipeline.Result): Seq[PhraseScore] = table5(res.corpus, res.models.conceptMiner)
+  def table6(res: GiantPipeline.Result): Seq[PhraseScore] = table6(res.corpus, res.models.eventMiner)
+  def table7(res: GiantPipeline.Result): Seq[ClassScore] = table7(res.corpus, res.models.elementClassifier)
+
+  // ------------------------------------------------------------------
   // Table 5 — concept mining on CMD
   // ------------------------------------------------------------------
 
-  def table5(spark: SparkSession, prep: Prepared, s: Scale): Seq[PhraseScore] = {
-    val corpus = prep.corpus
+  private def table5(corpus: Datasets.Corpus, model: RGCN.Params): Seq[PhraseScore] = {
     val train = corpus.train(corpus.cmd)
     val test = corpus.test(corpus.cmd)
     require(test.nonEmpty && train.nonEmpty, "empty CMD split")
 
-    // GCTSP-Net (distributed training)
-    val tc = RGCNTrainer.TrainConfig(epochs = s.epochs, seed = 13)
-    val graphs = train.map { ex =>
-      GCTSPNet.encode(GiantPipeline.qtigOf(ex), GCTSPNet.binaryLabels(ex.gold))
-    }
-    val model = RGCNTrainer.train(spark, graphs, GCTSPNet.config(2), tc)
-
-    // taggers
     // taggers see a single text each (no cluster conditioning), per the paper
     val crfQ = new CRFTagger(3)
     crfQ.train(train.map(ex => (topQuery(ex), bioLabels(topQuery(ex), ex.gold), Set.empty[String])))
@@ -114,17 +133,10 @@ object Tables {
   // Table 6 — event mining on EMD
   // ------------------------------------------------------------------
 
-  def table6(spark: SparkSession, prep: Prepared, s: Scale): Seq[PhraseScore] = {
-    val corpus = prep.corpus
+  private def table6(corpus: Datasets.Corpus, model: RGCN.Params): Seq[PhraseScore] = {
     val train = corpus.train(corpus.emd)
     val test = corpus.test(corpus.emd)
     require(test.nonEmpty && train.nonEmpty, "empty EMD split")
-
-    val tc = RGCNTrainer.TrainConfig(epochs = s.epochs, seed = 13)
-    val graphs = train.map { ex =>
-      GCTSPNet.encode(GiantPipeline.qtigOf(ex), GCTSPNet.binaryLabels(ex.gold))
-    }
-    val model = RGCNTrainer.train(spark, graphs, GCTSPNet.config(2), tc)
 
     val crf = new CRFTagger(3)
     crf.train(train.flatMap(ex => ex.titles.map(t =>
@@ -159,24 +171,15 @@ object Tables {
   // Table 7 — event key elements recognition
   // ------------------------------------------------------------------
 
-  def table7(spark: SparkSession, prep: Prepared, s: Scale): Seq[ClassScore] = {
-    val corpus = prep.corpus
+  private def table7(corpus: Datasets.Corpus, model: RGCN.Params): Seq[ClassScore] = {
     val train = corpus.train(corpus.emd)
     val test = corpus.test(corpus.emd)
     require(test.nonEmpty && train.nonEmpty, "empty EMD split")
 
     // The deployed task classifies every word of the event's texts, where
-    // titles name bystander entities, decorations and extra modifiers — only
-    // the gold event's own entity/trigger/location count as elements.
-    def labeler(ex: MiningExample): String => Int =
-      GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation)
-
-    val tc = RGCNTrainer.TrainConfig(epochs = s.epochs, seed = 13)
-    val graphs = train.map(ex => GCTSPNet.encode(GiantPipeline.qtigOf(ex), labeler(ex)))
-    val model = RGCNTrainer.train(spark, graphs, GCTSPNet.config(GCTSPNet.ElementClasses), tc)
-
+    // titles name bystander entities, decorations and extra modifiers.
     val tagData = train.flatMap { ex =>
-      val lf = labeler(ex)
+      val lf = GiantPipeline.elementLabels(ex)
       ex.titles.map(t => (t.tokens, t.tokens.map(lf), Set.empty[String]))
     }
     val lstm = new SoftmaxTagger(GCTSPNet.ElementClasses)
@@ -187,7 +190,7 @@ object Tables {
     // evaluate over every title of every test cluster (stable token sample)
     def pairsOf(f: (MiningExample, Seq[String]) => Seq[Int]): Seq[(Int, Int)] =
       test.flatMap { ex =>
-        val lf = labeler(ex)
+        val lf = GiantPipeline.elementLabels(ex)
         ex.titles.flatMap(t => t.tokens.map(lf).zip(f(ex, t.tokens)))
       }
 
@@ -291,9 +294,8 @@ object Tables {
   }
 
   def tables1and2(spark: SparkSession, s: Scale): (GiantPipeline.Result, OntologyReport) = {
-    val res = GiantPipeline.run(spark,
-      OntoGen.Params(nDerivedConcepts = s.nConcepts, nEvents = s.nEvents, seed = s.seed),
-      ClickLogGen.Params(seed = s.seed + 1), epochs = s.epochs)
+    val p = prepare(spark, s)
+    val res = GiantPipeline.run(spark, p.onto, p.log, p.corpus, s.epochs)
     val report = OntologyReport(
       res.built.countByKind,
       judgeEdges(res.onto, res.built),

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.core.Normalize.MinedPhrase
@@ -65,6 +67,25 @@ class NormalizeSpec extends AnyFunSuite {
   test("tfidfCosine of identical bags is ~1") {
     val df = Map("a" -> 1, "b" -> 1)
     assert(math.abs(Normalize.tfidfCosine(Seq("a", "b"), Seq("a", "b"), df, 2) - 1.0) < 1e-9)
+  }
+
+  test("property: normalize gives the same nodes for any order of distinct-seed phrases") {
+    val vocab = Seq("famous", "runner", "classic", "the", "review", "guide")
+    val tokens = Gen.choose(0, 3).flatMap(Gen.listOfN(_, Gen.oneOf(vocab)))
+    val phrase = for {
+      ts <- tokens; titles <- Gen.listOfN(2, tokens); ev <- Gen.oneOf(false, true)
+    } yield (ts, titles, ev)
+    val inputs = for {
+      n <- Gen.choose(0, 12)
+      seeds <- Gen.pick(n, 1L to 40L)
+      ps <- Gen.listOfN(n, phrase)
+      shuffleSeed <- Gen.choose(0L, Long.MaxValue)
+    } yield (seeds.toSeq.zip(ps).map { case (s, (ts, titles, ev)) => mp(s, ts, titles, ev) }, shuffleSeed)
+    val r = Check.check(Check.Parameters.default.withMinSuccessfulTests(300)
+      .withInitialSeed(Seed(20200614L)), Prop.forAllNoShrink(inputs) { case (mined, shuffleSeed) =>
+        Normalize.normalize(mined) == Normalize.normalize(new scala.util.Random(shuffleSeed).shuffle(mined))
+      })
+    assert(r.passed, org.scalacheck.util.Pretty.pretty(r))
   }
 }
 

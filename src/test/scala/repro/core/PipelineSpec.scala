@@ -1,8 +1,8 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.data.{ClickLogGen, OntoGen}
 import repro.eval.Tables
+import repro.ml.RGCN
 
 /** End-to-end pipeline integration: generate → walk → mine → normalize →
   * derive → link → evaluate, at test scale. Exercises everything behind
@@ -80,5 +80,16 @@ class PipelineSpec extends SparkSpec {
   test("node ids are unique across kinds") {
     val ids = res.built.nodes.map(_.id)
     assert(ids.distinct.size == ids.size)
+  }
+
+  test("Tables 5–7 score the run's heads; the standalone forms retrain them bitwise") {
+    val prep = Tables.prepare(spark, scale)
+    def bits(p: RGCN.Params): Seq[Long] = p.flat.toSeq.map(java.lang.Double.doubleToLongBits)
+    assert(bits(Tables.conceptHead(spark, prep, scale)) == bits(res.models.conceptMiner))
+    assert(bits(Tables.eventHead(spark, prep, scale)) == bits(res.models.eventMiner))
+    assert(bits(Tables.elementHead(spark, prep, scale)) == bits(res.models.elementClassifier))
+    assert(Tables.table5(res) == Tables.table5(spark, prep, scale))
+    assert(Tables.table6(res) == Tables.table6(spark, prep, scale))
+    assert(Tables.table7(res) == Tables.table7(spark, prep, scale))
   }
 }

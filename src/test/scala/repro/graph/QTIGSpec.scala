@@ -1,6 +1,9 @@
 package repro.graph
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.nlp.Lang
 
 class QTIGSpec extends AnyFunSuite {
 
@@ -99,5 +102,33 @@ class QTIGSpec extends AnyFunSuite {
   test("empty cluster yields just the markers") {
     val g = QTIG.build(Seq.empty, Seq.empty)
     assert(g.size == 2 && g.edges.isEmpty)
+  }
+
+  test("property: one edge pair per token pair, and adjacent tokens of every text are seq-linked") {
+    // a small mixed vocabulary (stops, modifiers, heads, triggers, places,
+    // times, punctuation, entities) makes repeats and dependency arcs common
+    val cat = Lang.Categories.head
+    val vocab = Lang.StopWords.toSeq.sorted.take(3) ++ Lang.Modifiers.take(3) ++
+      cat.heads.flatten.distinct.take(3) ++ cat.triggers.flatten.distinct.take(3) ++
+      Lang.Locations.take(1) ++ Lang.Times.take(1) ++ Lang.PunctTokens ++ Seq("zorvex", "malkar")
+    val text = Gen.choose(0, 6).flatMap(Gen.listOfN(_, Gen.oneOf(vocab)))
+    val clusters = for {
+      nq <- Gen.choose(1, 3); nt <- Gen.choose(0, 4)
+      qs <- Gen.listOfN(nq, text); ts <- Gen.listOfN(nt, text)
+    } yield (qs, ts)
+    val r = Check.check(Check.Parameters.default.withMinSuccessfulTests(300)
+      .withInitialSeed(Seed(20200614L)), Prop.forAllNoShrink(clusters) { case (qs, ts) =>
+        val g = QTIG.build(qs, ts)
+        val arcs = g.edges.map(e => (e._1, e._2))
+        val onePair = arcs.groupBy { case (a, b) => (math.min(a, b), math.max(a, b)) }.forall {
+          case ((a, b), es) => es.toSet == Set((a, b), (b, a)) && es.size == 2
+        }
+        val seqArcs = g.edges.collect { case (a, b, r) if QTIG.Relations(r).startsWith("seq_") => (a, b) }.toSet
+        onePair && g.texts.forall(_.sliding(2).forall {
+          case Seq(a, b) => a == b || (seqArcs((a, b)) && seqArcs((b, a)))
+          case _ => true
+        })
+      })
+    assert(r.passed, org.scalacheck.util.Pretty.pretty(r))
   }
 }

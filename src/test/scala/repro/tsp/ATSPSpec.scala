@@ -83,4 +83,26 @@ class ATSPSpec extends AnyFunSuite {
       })
     assert(r.passed, org.scalacheck.util.Pretty.pretty(r))
   }
+
+  test("property: the heuristic path (k in 14..20) costs no more than nearest neighbour from sos") {
+    def nearestNeighbour(d: Array[Array[Double]]): Seq[Int] = {
+      var left = (1 until d.length - 1).toVector
+      var cur = 0
+      Vector.fill(left.size) {
+        cur = left.minBy(d(cur)); left = left.filterNot(_ == cur); cur
+      }
+    }
+    val cost = Gen.frequency(4 -> Gen.choose(0.0, 10.0), 1 -> Gen.const(ATSP.Unreachable))
+    val instances = for {
+      k <- Gen.choose(ATSP.ExactLimit + 1, 20)
+      rows <- Gen.listOfN((k + 2) * (k + 2), cost)
+    } yield Array.tabulate(k + 2, k + 2)((i, j) => if (i == j) 0.0 else rows(i * (k + 2) + j))
+    val r = Check.check(Check.Parameters.default.withMinSuccessfulTests(60)
+      .withInitialSeed(Seed(20200614L)), Prop.forAllNoShrink(instances) { d =>
+        val got = ATSP.solvePath(d)
+        val nn = pathCost(d, nearestNeighbour(d))
+        got.sorted == (1 to d.length - 2) && pathCost(d, got) <= nn + 1e-9 * math.max(1.0, nn)
+      })
+    assert(r.passed, org.scalacheck.util.Pretty.pretty(r))
+  }
 }
