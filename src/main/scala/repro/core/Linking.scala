@@ -115,13 +115,12 @@ object Linking {
     */
   def conceptEntityIsA(trainPairs: Seq[(Array[Double], Boolean)],
                        candidates: Seq[(Long, Long, Array[Double])],
-                       threshold: Double = 0.5): (LogReg, Seq[Edge]) = {
+                       threshold: Double = 0.5): Seq[Edge] = {
     val model = LogReg.train(trainPairs, PairFeatureDim)
-    val edges = candidates.collect {
+    candidates.collect {
       case (cid, eid, f) if model.predict(f, threshold) =>
         Edge(eid, cid, IsA, "entity-concept")
     }
-    (model, edges)
   }
 
   // ------------------------------------------------------------------
@@ -170,13 +169,12 @@ object Linking {
     */
   def correlateEdges(entityIds: Seq[Long], coPairs: Seq[(Long, Long, Long)],
                      minCount: Long = 2, maxDist: Double = 1.5,
-                     dim: Int = 16, seed: Long = 17): (Embeddings.Model, Seq[Edge]) = {
+                     dim: Int = 16, seed: Long = 17): Seq[Edge] = {
     val positives = coPairs.collect { case (a, b, n) if n >= minCount => (a, b) }
     val model = Embeddings.train(entityIds, positives, dim = dim, seed = seed)
-    val edges = positives.collect {
+    positives.collect {
       case (a, b) if model.distance(a, b) <= maxDist =>
         Seq(Edge(a, b, Correlate, "entity-entity"), Edge(b, a, Correlate, "entity-entity"))
     }.flatten
-    (model, edges)
   }
 }

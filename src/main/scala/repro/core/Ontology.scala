@@ -58,7 +58,7 @@ object GiantPipeline {
     QTIG.build(ex.queries.map(_.tokens), ex.titles.map(_.tokens))
 
   /** Seed of every GCTSP-Net head's initialisation and batch order. */
-  val HeadSeed = 13L
+  private val HeadSeed = 13L
 
   /** Binary labels (token in the gold phrase) of a concept or event cluster. */
   def phraseLabels(ex: MiningExample): String => Int = GCTSPNet.binaryLabels(ex.gold)
@@ -72,19 +72,18 @@ object GiantPipeline {
   /** Train one GCTSP-Net head on `examples` (Spark-distributed). */
   def trainHead(spark: SparkSession, examples: Seq[MiningExample],
                 labels: MiningExample => String => Int, classes: Int,
-                epochs: Int, seed: Long): RGCN.Params =
+                epochs: Int): RGCN.Params =
     RGCNTrainer.train(spark, examples.map(ex => GCTSPNet.encode(qtigOf(ex), labels(ex))),
-      GCTSPNet.config(classes), RGCNTrainer.TrainConfig(epochs = epochs, seed = seed))
+      GCTSPNet.config(classes), epochs, HeadSeed)
 
   /** Train the three GCTSP-Net heads on the train splits. */
-  def trainModels(spark: SparkSession, corpus: Datasets.Corpus,
-                  epochs: Int, seed: Long = HeadSeed): TrainedModels = {
+  def trainModels(spark: SparkSession, corpus: Datasets.Corpus, epochs: Int): TrainedModels = {
     val cmdTrain = corpus.train(corpus.cmd)
     val emdTrain = corpus.train(corpus.emd)
     TrainedModels(
-      trainHead(spark, cmdTrain, phraseLabels, 2, epochs, seed),
-      trainHead(spark, emdTrain, phraseLabels, 2, epochs, seed),
-      trainHead(spark, emdTrain, elementLabels, GCTSPNet.ElementClasses, epochs, seed))
+      trainHead(spark, cmdTrain, phraseLabels, 2, epochs),
+      trainHead(spark, emdTrain, phraseLabels, 2, epochs),
+      trainHead(spark, emdTrain, elementLabels, GCTSPNet.ElementClasses, epochs))
   }
 
   /** Mine phrases for every cluster with the trained models (Algorithm 1). */
@@ -227,7 +226,7 @@ object GiantPipeline {
 
     val ceEdges =
       if (positives.nonEmpty && negatives.nonEmpty)
-        Linking.conceptEntityIsA(positives ++ negatives, candidates)._2
+        Linking.conceptEntityIsA(positives ++ negatives, candidates)
       else Seq.empty[Linking.Edge]
 
     // --- CPD topics (need entity → ancestor-concept phrases) ---
@@ -290,7 +289,7 @@ object GiantPipeline {
     }.toDF("doc_id", "entity_id")
     val coPairs = Linking.entityCooccurrence(docEntities)
       .collect().toSeq.map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
-    val (_, corrEdges) = Linking.correlateEdges(onto.entities.map(_.id), coPairs)
+    val corrEdges = Linking.correlateEdges(onto.entities.map(_.id), coPairs)
 
     val categoryNodes = categoryIdOf.toSeq.sortBy(_._2).map { case (n, id) => Node(id, "category", Seq(n)) }
     val allNodes = categoryNodes ++

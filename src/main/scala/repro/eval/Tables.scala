@@ -68,15 +68,15 @@ object Tables {
 
   def conceptHead(spark: SparkSession, prep: Prepared, s: Scale): RGCN.Params =
     GiantPipeline.trainHead(spark, prep.corpus.train(prep.corpus.cmd),
-      GiantPipeline.phraseLabels, 2, s.epochs, GiantPipeline.HeadSeed)
+      GiantPipeline.phraseLabels, 2, s.epochs)
 
   def eventHead(spark: SparkSession, prep: Prepared, s: Scale): RGCN.Params =
     GiantPipeline.trainHead(spark, prep.corpus.train(prep.corpus.emd),
-      GiantPipeline.phraseLabels, 2, s.epochs, GiantPipeline.HeadSeed)
+      GiantPipeline.phraseLabels, 2, s.epochs)
 
   def elementHead(spark: SparkSession, prep: Prepared, s: Scale): RGCN.Params =
     GiantPipeline.trainHead(spark, prep.corpus.train(prep.corpus.emd),
-      GiantPipeline.elementLabels, GCTSPNet.ElementClasses, s.epochs, GiantPipeline.HeadSeed)
+      GiantPipeline.elementLabels, GCTSPNet.ElementClasses, s.epochs)
 
   def table5(spark: SparkSession, prep: Prepared, s: Scale): Seq[PhraseScore] =
     table5(prep.corpus, conceptHead(spark, prep, s))

@@ -46,13 +46,13 @@ object ClickGraph {
   }
 
   /** Out-edges of every node, each list sorted by neighbour id. */
-  private type Adjacency = Map[Long, Array[(Long, Double)]]
+  private[graph] type Adjacency = Map[Long, Array[(Long, Double)]]
 
   /** Eq. (1)–(2) as adjacency maps: q → [(d, P(d|q))] and d → [(q, P(q|d))]. */
-  private final case class Transport(docsOf: Adjacency, queriesOf: Adjacency)
+  private[graph] final case class Transport(docsOf: Adjacency, queriesOf: Adjacency)
 
   /** Collect [[transportProbs]] into a [[Transport]] on the driver. */
-  private def transport(clicks: DataFrame): Transport = {
+  private[graph] def transport(clicks: DataFrame): Transport = {
     import clicks.sparkSession.implicits._
     val (pDq, pQd) = transportProbs(clicks)
     def adjacency(df: DataFrame, from: String, to: String): Adjacency =
@@ -72,7 +72,7 @@ object ClickGraph {
     *
     * @return (query visits, doc visits) by node id
     */
-  private def walk(t: Transport, seed: Long, rounds: Int, prune: Double): (Map[Long, Double], Map[Long, Double]) = {
+  private[graph] def walk(t: Transport, seed: Long, rounds: Int, prune: Double): (Map[Long, Double], Map[Long, Double]) = {
     def halfStep(frontier: collection.Map[Long, Double], adj: Adjacency): mutable.Map[Long, Double] = {
       val mass = mutable.HashMap.empty[Long, Double]
       for ((src, p) <- frontier.toSeq.sortBy(_._1); (dst, w) <- adj.getOrElse(src, Array.empty[(Long, Double)]))
@@ -94,25 +94,7 @@ object ClickGraph {
   }
 
   /** Per-half-step pruning threshold of the walk. */
-  private val Prune = 0.01
-
-  /** Random walk from every seed query (see [[walk]]).
-    *
-    * @return (queryVisits(seed, query_id, p), docVisits(seed, doc_id, p))
-    */
-  def randomWalk(clicks: DataFrame, seeds: DataFrame, rounds: Int = 2,
-                 prune: Double = Prune): (DataFrame, DataFrame) = {
-    val spark = clicks.sparkSession
-    import spark.implicits._
-    val t = spark.sparkContext.broadcast(transport(clicks))
-    val visits = seeds.select(col("query_id")).as[Long].flatMap { s =>
-      val (qv, dv) = walk(t.value, s, rounds, prune)
-      qv.map { case (q, p) => (s, true, q, p) } ++ dv.map { case (d, p) => (s, false, d, p) }
-    }.toDF("seed", "isQuery", "id", "p")
-    def side(isQuery: Boolean, name: String): DataFrame =
-      visits.where(col("isQuery") === isQuery).select(col("seed"), col("id") as name, col("p"))
-    (side(isQuery = true, "query_id"), side(isQuery = false, "doc_id"))
-  }
+  private[graph] val Prune = 0.01
 
   /** Fraction of non-stop tokens must exceed 1/2 (Algorithm 1 keep rule). */
   val mostlyContent: Seq[String] => Boolean = { toks =>

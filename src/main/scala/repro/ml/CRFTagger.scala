@@ -35,31 +35,54 @@ object TagFeatures {
   }
 }
 
-/** Linear-chain CRF via averaged structured perceptron. */
-final class CRFTagger(val numLabels: Int) extends Serializable {
+/** Averaged-perceptron emission weights: one score per (feature, label).
+  * `updates` counts the training steps so far, starting at 1; [[bump]]
+  * accumulates each change times the step it was made in, so that
+  * [[average]] can turn the final weights into their average over all steps.
+  */
+private[ml] final class PerceptronWeights(numLabels: Int) extends Serializable {
 
   private val w = collection.mutable.Map[String, Array[Double]]()
   private val wSum = collection.mutable.Map[String, Array[Double]]()
+  private var step = 1L
+
+  def updates: Long = step
+  def tick(): Unit = step += 1
+
+  def score(feats: Seq[String], label: Int): Double =
+    feats.foldLeft(0.0)((s, f) => s + w.get(f).map(_(label)).getOrElse(0.0))
+
+  def bump(f: String, label: Int, delta: Double): Unit = {
+    val a = w.getOrElseUpdate(f, new Array[Double](numLabels))
+    val s = wSum.getOrElseUpdate(f, new Array[Double](numLabels))
+    a(label) += delta
+    s(label) += delta * step
+  }
+
+  /** Finalize averaging: w_avg = w - wSum/T. */
+  def average(): Unit = {
+    val t = step.toDouble
+    for ((f, a) <- w; y <- 0 until numLabels) a(y) -= wSum(f)(y) / t
+  }
+}
+
+/** Linear-chain CRF via averaged structured perceptron. */
+final class CRFTagger(val numLabels: Int) extends Serializable {
+
+  private val w = new PerceptronWeights(numLabels)
   private val trans = Array.fill(numLabels + 1, numLabels)(0.0) // row numLabels = start
   private val transSum = Array.fill(numLabels + 1, numLabels)(0.0)
-  private var updates = 1L
 
-  private def emit(weights: collection.mutable.Map[String, Array[Double]],
-                   feats: Seq[String], label: Int): Double =
-    feats.foldLeft(0.0)((s, f) => s + weights.get(f).map(_(label)).getOrElse(0.0))
-
-  private def viterbi(weights: collection.mutable.Map[String, Array[Double]],
-                      tr: Array[Array[Double]],
-                      featSeq: Seq[Seq[String]]): Seq[Int] = {
+  private def viterbi(featSeq: Seq[Seq[String]]): Seq[Int] = {
     val n = featSeq.size
     val dp = Array.fill(n, numLabels)(Double.NegativeInfinity)
     val bp = Array.fill(n, numLabels)(0)
-    for (y <- 0 until numLabels) dp(0)(y) = emit(weights, featSeq.head, y) + tr(numLabels)(y)
+    for (y <- 0 until numLabels) dp(0)(y) = w.score(featSeq.head, y) + trans(numLabels)(y)
     for (i <- 1 until n; y <- 0 until numLabels) {
-      val e = emit(weights, featSeq(i), y)
+      val e = w.score(featSeq(i), y)
       var best = Double.NegativeInfinity; var arg = 0
       for (yp <- 0 until numLabels) {
-        val s = dp(i - 1)(yp) + tr(yp)(y)
+        val s = dp(i - 1)(yp) + trans(yp)(y)
         if (s > best) { best = s; arg = yp }
       }
       dp(i)(y) = best + e; bp(i)(y) = arg
@@ -70,81 +93,58 @@ final class CRFTagger(val numLabels: Int) extends Serializable {
     out.toSeq
   }
 
-  private def bump(f: String, label: Int, delta: Double): Unit = {
-    val a = w.getOrElseUpdate(f, new Array[Double](numLabels))
-    val s = wSum.getOrElseUpdate(f, new Array[Double](numLabels))
-    a(label) += delta
-    s(label) += delta * updates
-  }
-
   /** Train on (tokens, gold labels, context) triples. */
   def train(data: Seq[(Seq[String], Seq[Int], Set[String])], epochs: Int = 8, seed: Long = 11): Unit = {
     val rng = new scala.util.Random(seed)
-    val total = epochs.toLong * data.size + 1
     for (_ <- 0 until epochs; (tokens, gold, ctx) <- rng.shuffle(data)) {
       val feats = tokens.indices.map(i => TagFeatures.featurize(tokens, i, ctx))
-      val pred = viterbi(w, trans, feats)
+      val pred = viterbi(feats)
       if (pred != gold) {
         for (i <- tokens.indices if pred(i) != gold(i)) {
-          feats(i).foreach { f => bump(f, gold(i), 1.0); bump(f, pred(i), -1.0) }
+          feats(i).foreach { f => w.bump(f, gold(i), 1.0); w.bump(f, pred(i), -1.0) }
         }
         for (i <- tokens.indices) {
           val (gp, pp) = (if (i == 0) numLabels else gold(i - 1), if (i == 0) numLabels else pred(i - 1))
           if (gp != pp || gold(i) != pred(i)) {
-            trans(gp)(gold(i)) += 1.0; transSum(gp)(gold(i)) += updates
-            trans(pp)(pred(i)) -= 1.0; transSum(pp)(pred(i)) -= updates
+            trans(gp)(gold(i)) += 1.0; transSum(gp)(gold(i)) += w.updates
+            trans(pp)(pred(i)) -= 1.0; transSum(pp)(pred(i)) -= w.updates
           }
         }
       }
-      updates += 1
+      w.tick()
     }
-    // finalize averaging: w_avg = w - wSum/T
-    val t = updates.toDouble
-    for ((f, a) <- w; y <- 0 until numLabels) a(y) -= wSum(f)(y) / t
+    w.average()
+    val t = w.updates.toDouble
     for (y0 <- 0 to numLabels; y <- 0 until numLabels) trans(y0)(y) -= transSum(y0)(y) / t
   }
 
   def predict(tokens: Seq[String], context: Set[String] = Set.empty): Seq[Int] = {
     if (tokens.isEmpty) return Seq.empty
-    val feats = tokens.indices.map(i => TagFeatures.featurize(tokens, i, context))
-    viterbi(w, trans, feats)
+    viterbi(tokens.indices.map(i => TagFeatures.featurize(tokens, i, context)))
   }
 }
 
 /** Per-token averaged perceptron (no transition structure). */
 final class SoftmaxTagger(val numLabels: Int) extends Serializable {
 
-  private val w = collection.mutable.Map[String, Array[Double]]()
-  private val wSum = collection.mutable.Map[String, Array[Double]]()
-  private var updates = 1L
-
-  private def score(feats: Seq[String], label: Int): Double =
-    feats.foldLeft(0.0)((s, f) => s + w.get(f).map(_(label)).getOrElse(0.0))
-
-  private def bump(f: String, label: Int, delta: Double): Unit = {
-    val a = w.getOrElseUpdate(f, new Array[Double](numLabels))
-    val s = wSum.getOrElseUpdate(f, new Array[Double](numLabels))
-    a(label) += delta
-    s(label) += delta * updates
-  }
+  private val w = new PerceptronWeights(numLabels)
 
   def train(data: Seq[(Seq[String], Seq[Int], Set[String])], epochs: Int = 8, seed: Long = 11): Unit = {
     val rng = new scala.util.Random(seed)
     for (_ <- 0 until epochs; (tokens, gold, ctx) <- rng.shuffle(data); i <- tokens.indices) {
       val feats = TagFeatures.featurize(tokens, i, ctx)
-      val pred = (0 until numLabels).maxBy(score(feats, _))
+      val pred = (0 until numLabels).maxBy(w.score(feats, _))
       if (pred != gold(i)) {
-        feats.foreach { f => bump(f, gold(i), 1.0); bump(f, pred, -1.0) }
+        feats.foreach { f => w.bump(f, gold(i), 1.0); w.bump(f, pred, -1.0) }
       }
-      updates += 1
+      w.tick()
     }
-    val t = updates.toDouble
-    for ((f, a) <- w; y <- 0 until numLabels) a(y) -= wSum(f)(y) / t
+    w.average()
   }
 
   def predict(tokens: Seq[String], context: Set[String] = Set.empty): Seq[Int] =
     tokens.indices.map { i =>
       val feats = TagFeatures.featurize(tokens, i, context)
-      (0 until numLabels).maxBy(score(feats, _))
+      (0 until numLabels).maxBy(w.score(feats, _))
     }
 }

@@ -4,9 +4,7 @@ import scala.util.Random
 
 /** Entity embeddings trained with a hinge loss on co-occurrence pairs
   * (Sec. 3.2, "Edges between Entities"): correlated entities end up close in
-  * Euclidean distance, negatives are pushed beyond a margin. Also provides
-  * co-occurrence–derived token vectors standing in for the paper's BERT /
-  * directional-skip-gram vectors in story-tree similarity (Eq. 9–10).
+  * Euclidean distance, negatives are pushed beyond a margin.
   */
 object Embeddings {
 
@@ -61,24 +59,4 @@ object Embeddings {
     }
     Model(dim, vecs)
   }
-
-  /** Sparse co-occurrence token vectors: v(token) = counts of tokens seen in
-    * the same text, L2-normalized — a cheap distributional embedding whose
-    * cosine similarity feeds Eq. (9)–(10).
-    */
-  def tokenVectors(corpus: Seq[Seq[String]]): Map[String, Map[String, Double]] = {
-    val co = collection.mutable.Map[String, collection.mutable.Map[String, Double]]()
-    for (text <- corpus; a <- text.distinct; b <- text.distinct if a != b) {
-      co.getOrElseUpdate(a, collection.mutable.Map().withDefaultValue(0.0))(b) += 1.0
-    }
-    co.map { case (t, m) =>
-      val norm = math.sqrt(m.values.map(v => v * v).sum)
-      t -> m.map { case (k, v) => k -> v / norm }.toMap
-    }.toMap
-  }
-
-  /** Cosine similarity of two sparse vectors. */
-  def cosine(a: Map[String, Double], b: Map[String, Double]): Double =
-    if (a.isEmpty || b.isEmpty) 0.0
-    else a.iterator.map { case (k, v) => v * b.getOrElse(k, 0.0) }.sum
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 /** Full-batch Adam training for [[RGCN]], on Spark or on the driver alone.
   *
-  * Each epoch computes the exact mean loss and gradient over all graphs and
+  * Each epoch computes the exact mean loss gradient over all graphs and
   * applies one Adam step on the driver — the Spark-native analogue of the
   * paper's GPU training loop. Both entry points run the same loop and differ
   * only in where the gradient sum comes from.
@@ -18,26 +18,28 @@ import org.apache.spark.sql.SparkSession
   */
 object RGCNTrainer {
 
-  final case class TrainConfig(epochs: Int = 120, lr: Double = 0.01,
-                               beta1: Double = 0.9, beta2: Double = 0.999,
-                               eps: Double = 1e-8, weightDecay: Double = 1e-5,
-                               seed: Long = 13, logEvery: Int = 0)
+  // Adam hyper-parameters of every head.
+  private val Lr = 0.01
+  private val Beta1 = 0.9
+  private val Beta2 = 0.999
+  private val Eps = 1e-8
+  private val WeightDecay = 1e-5
 
   /** Adam state over a flat parameter vector. */
-  final class Adam(n: Int, tc: TrainConfig) {
+  private final class Adam(n: Int) {
     private val m = new Array[Double](n)
     private val v = new Array[Double](n)
     private var t = 0
     def step(params: Array[Double], grad: Array[Double]): Unit = {
       t += 1
-      val bc1 = 1 - math.pow(tc.beta1, t)
-      val bc2 = 1 - math.pow(tc.beta2, t)
+      val bc1 = 1 - math.pow(Beta1, t)
+      val bc2 = 1 - math.pow(Beta2, t)
       var i = 0
       while (i < n) {
-        val g = grad(i) + tc.weightDecay * params(i)
-        m(i) = tc.beta1 * m(i) + (1 - tc.beta1) * g
-        v(i) = tc.beta2 * v(i) + (1 - tc.beta2) * g * g
-        params(i) -= tc.lr * (m(i) / bc1) / (math.sqrt(v(i) / bc2) + tc.eps)
+        val g = grad(i) + WeightDecay * params(i)
+        m(i) = Beta1 * m(i) + (1 - Beta1) * g
+        v(i) = Beta2 * v(i) + (1 - Beta2) * g * g
+        params(i) -= Lr * (m(i) / bc1) / (math.sqrt(v(i) / bc2) + Eps)
         i += 1
       }
     }
@@ -47,46 +49,40 @@ object RGCNTrainer {
     * parallelized across `defaultParallelism` partitions.
     */
   def train(spark: SparkSession, graphs: Seq[RGCN.EncodedGraph],
-            cfg: RGCN.Config, tc: TrainConfig = TrainConfig()): RGCN.Params =
-    trainPartitioned(spark, graphs, cfg, tc, spark.sparkContext.defaultParallelism)
+            cfg: RGCN.Config, epochs: Int, seed: Long): RGCN.Params =
+    trainPartitioned(spark, graphs, cfg, epochs, seed, spark.sparkContext.defaultParallelism)
 
   /** Driver-local training over a small in-memory graph collection. */
   def trainLocal(graphs: Seq[RGCN.EncodedGraph], cfg: RGCN.Config,
-                 tc: TrainConfig = TrainConfig()): RGCN.Params =
-    loop(graphs.size, cfg, tc)(flat => sum(graphs.iterator, new RGCN.Params(cfg, flat)))
+                 epochs: Int, seed: Long): RGCN.Params =
+    loop(graphs.size, cfg, epochs, seed)(flat => gradSum(graphs.iterator, new RGCN.Params(cfg, flat)))
 
   /** [[train]] over an explicit number of partitions. Each epoch broadcasts
-    * the parameters, sums loss and gradient per partition and collects the
+    * the parameters, sums the gradient per partition and collects the
     * partial sums.
     */
   private[ml] def trainPartitioned(spark: SparkSession, graphs: Seq[RGCN.EncodedGraph],
-                                   cfg: RGCN.Config, tc: TrainConfig,
+                                   cfg: RGCN.Config, epochs: Int, seed: Long,
                                    partitions: Int): RGCN.Params = {
     val sc = spark.sparkContext
     val rdd = sc.parallelize(graphs, partitions)
-    loop(graphs.size, cfg, tc) { flat =>
+    loop(graphs.size, cfg, epochs, seed) { flat =>
       val bc = sc.broadcast(flat.clone())
       val parts = rdd.mapPartitions { it =>
-        Iterator.single(sum(it, new RGCN.Params(cfg, bc.value)))
+        Iterator.single(gradSum(it, new RGCN.Params(cfg, bc.value)))
       }.collect()
       bc.destroy()
       val grad = new Array[Double](cfg.nParams)
-      var loss = 0.0
-      for ((l, g) <- parts) { loss += l; addTo(grad, g) }
-      (loss, grad)
+      parts.foreach(addTo(grad, _))
+      grad
     }
   }
 
-  /** Summed loss and gradient of `graphs`, in iteration order. */
-  private def sum(graphs: Iterator[RGCN.EncodedGraph], p: RGCN.Params): (Double, Array[Double]) = {
+  /** Summed gradient of `graphs`, in iteration order. */
+  private def gradSum(graphs: Iterator[RGCN.EncodedGraph], p: RGCN.Params): Array[Double] = {
     val grad = new Array[Double](p.cfg.nParams)
-    var loss = 0.0
-    for (g <- graphs) {
-      val (li, gi) = RGCN.lossAndGrad(g, p)
-      loss += li
-      addTo(grad, gi)
-    }
-    (loss, grad)
+    for (g <- graphs) addTo(grad, RGCN.lossAndGrad(g, p)._2)
+    grad
   }
 
   private def addTo(acc: Array[Double], x: Array[Double]): Unit = {
@@ -94,21 +90,19 @@ object RGCNTrainer {
     while (i < acc.length) { acc(i) += x(i); i += 1 }
   }
 
-  /** The Adam loop: `lossAndGrad` maps the current parameters to the summed
-    * loss and gradient over all `nG` graphs.
+  /** The Adam loop: `gradOf` maps the current parameters to the summed
+    * gradient over all `nG` graphs.
     */
-  private def loop(nG: Int, cfg: RGCN.Config, tc: TrainConfig)
-                  (lossAndGrad: Array[Double] => (Double, Array[Double])): RGCN.Params = {
+  private def loop(nG: Int, cfg: RGCN.Config, epochs: Int, seed: Long)
+                  (gradOf: Array[Double] => Array[Double]): RGCN.Params = {
     require(nG > 0, "no training graphs")
-    val params = RGCN.init(cfg, tc.seed)
-    val adam = new Adam(cfg.nParams, tc)
-    for (epoch <- 1 to tc.epochs) {
-      val (loss, grad) = lossAndGrad(params.flat)
+    val params = RGCN.init(cfg, seed)
+    val adam = new Adam(cfg.nParams)
+    for (_ <- 1 to epochs) {
+      val grad = gradOf(params.flat)
       var i = 0
       while (i < grad.length) { grad(i) /= nG; i += 1 }
       adam.step(params.flat, grad)
-      if (tc.logEvery > 0 && epoch % tc.logEvery == 0)
-        Console.err.println(f"[RGCNTrainer] epoch $epoch%4d loss ${loss / nG}%.5f")
     }
     params
   }

@@ -54,7 +54,7 @@ class GCTSPNetSpec extends SparkSpec {
     assert(train.size > 30 && test.nonEmpty)
     val graphs = train.map(ex => GCTSPNet.encode(GiantPipeline.qtigOf(ex), GCTSPNet.binaryLabels(ex.gold)))
     val params = RGCNTrainer.train(spark, graphs,
-      GCTSPNet.config(2), RGCNTrainer.TrainConfig(epochs = 40, seed = 13))
+      GCTSPNet.config(2), epochs = 40, seed = 13)
     val pairs = test.map { ex =>
       (GCTSPNet.minePhrase(GiantPipeline.qtigOf(ex), params), ex.gold)
     }
@@ -72,7 +72,7 @@ class GCTSPNetSpec extends SparkSpec {
         GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation))
     }
     val params = RGCNTrainer.train(spark, graphs,
-      GCTSPNet.config(GCTSPNet.ElementClasses), RGCNTrainer.TrainConfig(epochs = 40, seed = 13))
+      GCTSPNet.config(GCTSPNet.ElementClasses), epochs = 40, seed = 13)
     val pairs = test.flatMap { ex =>
       val lf = GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation)
       val cls = GCTSPNet.classifyElements(GiantPipeline.qtigOf(ex), params)

@@ -74,7 +74,7 @@ class LinkingSpec extends SparkSpec {
     val candidates = Seq(
       (100L, 1L, Linking.pairFeatures(4, 5, 3, 1)),
       (100L, 2L, Linking.pairFeatures(0, 5, 0, 0)))
-    val (m, edges) = Linking.conceptEntityIsA(pos ++ neg, candidates)
+    val edges = Linking.conceptEntityIsA(pos ++ neg, candidates)
     assert(edges == Seq(Linking.Edge(1L, 100L, Linking.IsA, "entity-concept")))
   }
 
@@ -95,7 +95,7 @@ class LinkingSpec extends SparkSpec {
   test("correlateEdges are symmetric and distance-filtered") {
     val ids = (1L to 10L).toSeq
     val co = Seq((1L, 2L, 5L), (3L, 4L, 5L))
-    val (m, edges) = Linking.correlateEdges(ids, co)
+    val edges = Linking.correlateEdges(ids, co)
     // both directions present for whatever survived
     val pairs = edges.map(e => (e.src, e.dst)).toSet
     for ((a, b) <- pairs) assert(pairs.contains((b, a)))

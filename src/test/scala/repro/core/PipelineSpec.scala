@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SharedRun, SparkSpec}
 import repro.eval.Tables
 import repro.ml.RGCN
 
@@ -10,8 +10,8 @@ import repro.ml.RGCN
   */
 class PipelineSpec extends SparkSpec {
 
-  private lazy val scale = Tables.Scale(nConcepts = 70, nEvents = 45, epochs = 40, seed = 21)
-  private lazy val (res, report) = Tables.tables1and2(spark, scale)
+  private val scale = SharedRun.scale
+  private lazy val (res, report) = SharedRun.pipeline
 
   test("ontology contains all five node kinds") {
     val kinds = res.built.countByKind

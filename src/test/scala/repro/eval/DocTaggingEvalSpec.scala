@@ -1,13 +1,11 @@
 package repro.eval
 
-import repro.SparkSpec
+import repro.{SharedRun, SparkSpec}
 
 /** Doc-tagging precision against gold at test scale (Sec. 5.3 numbers). */
 class DocTaggingEvalSpec extends SparkSpec {
 
-  private lazy val (res, _) = Tables.tables1and2(spark,
-    Tables.Scale(nConcepts = 70, nEvents = 45, epochs = 40, seed = 23))
-  private lazy val report = DocTaggingEval.run(res)
+  private lazy val report = DocTaggingEval.run(SharedRun.pipeline._1)
 
   test("some documents get concept tags") {
     assert(report.conceptCoverage > 0.1, f"coverage ${report.conceptCoverage}%.3f")

@@ -20,6 +20,17 @@ class ClickGraphSpec extends SparkSpec {
     OntoGen.generate(OntoGen.Params(nDerivedConcepts = 25, nEvents = 15, seed = 4)),
     ClickLogGen.Params(seed = 5))
 
+  /** The pipeline's walk from every seed query, as DataFrames:
+    * (queryVisits(seed, query_id, p), docVisits(seed, doc_id, p)).
+    */
+  private def randomWalk(clicks: DataFrame, seeds: DataFrame): (DataFrame, DataFrame) = {
+    val t = ClickGraph.transport(clicks)
+    val walks = seeds.select($"query_id").as[Long].collect().toSeq
+      .map(s => s -> ClickGraph.walk(t, s, rounds = 2, ClickGraph.Prune))
+    (walks.flatMap { case (s, (qv, _)) => qv.map { case (q, p) => (s, q, p) } }.toDF("seed", "query_id", "p"),
+      walks.flatMap { case (s, (_, dv)) => dv.map { case (d, p) => (s, d, p) } }.toDF("seed", "doc_id", "p"))
+  }
+
   test("transport probabilities P(d|q) match DuckDB (Eq. 1)") {
     val (pDq, _) = ClickGraph.transportProbs(clicks)
     Oracle.assertEquivalent(
@@ -50,7 +61,7 @@ class ClickGraphSpec extends SparkSpec {
 
   test("random walk from a seed stays in its connected component") {
     val seeds = Seq(Tuple1(1L)).toDF("query_id")
-    val (qv, dv) = ClickGraph.randomWalk(clicks, seeds)
+    val (qv, dv) = randomWalk(clicks, seeds)
     val qs = qv.select("query_id").as[Long].collect().toSet
     val ds = dv.select("doc_id").as[Long].collect().toSet
     // query 3 shares doc 12 with query 2, which shares doc 10 with query 1
@@ -60,7 +71,7 @@ class ClickGraphSpec extends SparkSpec {
 
   test("random walk visit mass decreases with distance") {
     val seeds = Seq(Tuple1(1L)).toDF("query_id")
-    val (qv, _) = ClickGraph.randomWalk(clicks, seeds)
+    val (qv, _) = randomWalk(clicks, seeds)
     val m = qv.collect().map(r => r.getLong(1) -> r.getDouble(2)).toMap
     assert(m(1L) > m(2L))
   }
@@ -112,7 +123,7 @@ class ClickGraphSpec extends SparkSpec {
     assert(digest == "d58b995af1f1470f3cdb5a71b8130b70bec1e4bdff6c4f6b8b13993b312b9ce7")
   }
 
-  /** The 2-round walk of `randomWalk` (prune 0.01) as DuckDB SQL over
+  /** The 2-round walk of [[randomWalk]] (prune 0.01) as DuckDB SQL over
     * `clicks` and `seeds`; `visits` is "query_id" or "doc_id".
     */
   private def walkSql(visits: String): String = {
@@ -138,7 +149,7 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   private def assertWalkMatchesDuckDB(clicks: DataFrame, seeds: DataFrame): Unit = {
-    val (qv, dv) = ClickGraph.randomWalk(clicks, seeds)
+    val (qv, dv) = randomWalk(clicks, seeds)
     for ((visits, name) <- Seq(qv -> "query_id", dv -> "doc_id"))
       Oracle.assertEquivalent(visits.select($"seed", col(name), round($"p", 6) as "p"),
         walkSql(name), "clicks" -> clicks, "seeds" -> seeds)
@@ -173,7 +184,7 @@ class ClickGraphSpec extends SparkSpec {
   /** Visits lie in (0, 1] and every seed visits itself with exactly 1.0. */
   private def visitsInRange(rows: Seq[ClickRow]): Boolean = {
     val seeds = (rows.map(_.query_id).distinct :+ 999L).toDF("query_id")
-    val (qv, dv) = ClickGraph.randomWalk(rows.toDF(), seeds)
+    val (qv, dv) = randomWalk(rows.toDF(), seeds)
     val qs = qv.as[(Long, Long, Double)].collect()
     val ds = dv.as[(Long, Long, Double)].collect()
     (qs ++ ds).forall { case (_, _, p) => p > 0.0 && p <= 1.0 } &&

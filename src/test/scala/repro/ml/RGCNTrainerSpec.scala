@@ -16,54 +16,63 @@ class RGCNTrainerSpec extends SparkSpec {
   private val cfg = RGCN.Config(inDim = 4, hidden = 5, layers = 2, relations = 1,
     bases = 2, outClasses = 2)
 
+  private def bits(p: RGCN.Params): Seq[Long] = p.flat.map(java.lang.Double.doubleToRawLongBits).toSeq
+
   test("distributed training equals local training (same full-batch gradient)") {
     val graphs = (1 to 8).map(graph)
-    val tc = RGCNTrainer.TrainConfig(epochs = 5, seed = 3)
-    val local = RGCNTrainer.trainLocal(graphs, cfg, tc)
+    val local = RGCNTrainer.trainLocal(graphs, cfg, epochs = 5, seed = 3)
     for (parts <- Seq(1, 3, 8)) {
-      val dist = RGCNTrainer.trainPartitioned(spark, graphs, cfg, tc, parts)
+      val dist = RGCNTrainer.trainPartitioned(spark, graphs, cfg, epochs = 5, seed = 3, parts)
       val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
       assert(maxDiff < 1e-9, s"$parts partitions: parameter divergence $maxDiff")
       // one partition sums in exactly the local order
       if (parts == 1) assert(dist.flat.toSeq == local.flat.toSeq)
     }
-    val dist = RGCNTrainer.train(spark, graphs, cfg, tc)
+    val dist = RGCNTrainer.train(spark, graphs, cfg, epochs = 5, seed = 3)
     val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
     assert(maxDiff < 1e-9, s"parameter divergence $maxDiff")
   }
 
   test("two distributed runs on the same input give bitwise-identical parameters") {
     val graphs = (1 to 11).map(graph)
-    val tc = RGCNTrainer.TrainConfig(epochs = 4, seed = 7)
-    def bits(p: RGCN.Params): Seq[Long] = p.flat.map(java.lang.Double.doubleToRawLongBits).toSeq
-    for (parts <- Seq(3, 8))
-      assert(bits(RGCNTrainer.trainPartitioned(spark, graphs, cfg, tc, parts)) ==
-        bits(RGCNTrainer.trainPartitioned(spark, graphs, cfg, tc, parts)), s"$parts partitions")
-    assert(bits(RGCNTrainer.train(spark, graphs, cfg, tc)) == bits(RGCNTrainer.train(spark, graphs, cfg, tc)))
+    def run(parts: Int) = bits(RGCNTrainer.trainPartitioned(spark, graphs, cfg, epochs = 4, seed = 7, parts))
+    for (parts <- Seq(3, 8)) assert(run(parts) == run(parts), s"$parts partitions")
+    def runDefault = bits(RGCNTrainer.train(spark, graphs, cfg, epochs = 4, seed = 7))
+    assert(runDefault == runDefault)
+  }
+
+  test("trained parameters are pinned to the bit (local and 3 partitions)") {
+    // SHA-256 of the raw bits; any change to the loop, Adam or its constants
+    // moves them
+    def digest(p: RGCN.Params): String = java.security.MessageDigest.getInstance("SHA-256")
+      .digest(bits(p).mkString(",").getBytes("UTF-8")).map(b => f"$b%02x").mkString
+    val graphs = (1 to 8).map(graph)
+    assert(digest(RGCNTrainer.trainLocal(graphs, cfg, epochs = 5, seed = 3)) ==
+      "625b918d38ddfd96c70c5182cc3b29f6654e2d1fc56687b300118a0e7f51980c")
+    assert(digest(RGCNTrainer.trainPartitioned(spark, graphs, cfg, epochs = 5, seed = 3, 3)) ==
+      "ef675fa3cbfd170b35ad857f39122dbfdc2222b68f89c82eb2a65c3b2afd726d")
   }
 
   test("training reduces the aggregate loss") {
     val graphs = (1 to 6).map(graph)
-    val tc = RGCNTrainer.TrainConfig(epochs = 60, seed = 5)
     val p0 = RGCN.init(cfg, 5)
     val before = graphs.map(g => RGCN.lossAndGrad(g, p0)._1).sum
-    val p = RGCNTrainer.trainLocal(graphs, cfg, tc)
+    val p = RGCNTrainer.trainLocal(graphs, cfg, epochs = 60, seed = 5)
     val after = graphs.map(g => RGCN.lossAndGrad(g, p)._1).sum
     assert(after < before * 0.8, s"$before -> $after")
   }
 
   test("Adam step actually moves every parameter with nonzero gradient") {
     val g = graph(1)
-    val tc = RGCNTrainer.TrainConfig(epochs = 1, seed = 9)
     val p0 = RGCN.init(cfg, 9).flat.clone()
-    val p = RGCNTrainer.trainLocal(Seq(g), cfg, tc)
+    val p = RGCNTrainer.trainLocal(Seq(g), cfg, epochs = 1, seed = 9)
     val moved = p.flat.zip(p0).count { case (a, b) => a != b }
     assert(moved > p0.length / 2)
   }
 
   test("empty graph set is rejected") {
     intercept[IllegalArgumentException] {
-      RGCNTrainer.train(spark, Seq.empty[RGCN.EncodedGraph], cfg)
+      RGCNTrainer.train(spark, Seq.empty[RGCN.EncodedGraph], cfg, epochs = 1, seed = 1)
     }
   }
 }

@@ -102,16 +102,4 @@ class EmbeddingsSpec extends AnyFunSuite {
     val m = Embeddings.train(Seq(1L, 2L), Seq((1L, 2L)), dim = 4, epochs = 10)
     assert(m.distance(1L, 99L).isInfinity)
   }
-
-  test("token vectors: co-occurring tokens have positive cosine") {
-    val vecs = Embeddings.tokenVectors(Seq(
-      Seq("a", "b", "c"), Seq("a", "b"), Seq("x", "y")))
-    assert(Embeddings.cosine(vecs("a"), vecs("b")) > 0)
-    assert(Embeddings.cosine(vecs("a"), vecs("x")) == 0.0 ||
-      Embeddings.cosine(vecs("a"), vecs("x")) < Embeddings.cosine(vecs("a"), vecs("b")))
-  }
-
-  test("cosine of empty vectors is 0") {
-    assert(Embeddings.cosine(Map.empty, Map("a" -> 1.0)) == 0.0)
-  }
 }
