@@ -107,6 +107,9 @@ object Linking {
   def headNear(entityAt: Seq[Int], headAt: Seq[Int], window: Int = 4): Boolean =
     entityAt.exists(e => headAt.exists(h => math.abs(h - e) <= window))
 
+  /** Lowest classifier score of an isA entity–concept pair. */
+  private val IsAThreshold = 0.5
+
   /** Train the concept–entity classifier from auto-constructed examples
     * (Fig. 4) and score candidate pairs.
     *
@@ -114,11 +117,10 @@ object Linking {
     * @param candidates (conceptNodeId, entityId, features)
     */
   def conceptEntityIsA(trainPairs: Seq[(Array[Double], Boolean)],
-                       candidates: Seq[(Long, Long, Array[Double])],
-                       threshold: Double = 0.5): Seq[Edge] = {
+                       candidates: Seq[(Long, Long, Array[Double])]): Seq[Edge] = {
     val model = LogReg.train(trainPairs, PairFeatureDim)
     candidates.collect {
-      case (cid, eid, f) if model.predict(f, threshold) =>
+      case (cid, eid, f) if model.predict(f, IsAThreshold) =>
         Edge(eid, cid, IsA, "entity-concept")
     }
   }
@@ -164,16 +166,22 @@ object Linking {
       .groupBy("a", "b").agg(count(lit(1)) as "n")
   }
 
+  // Correlate edges: the fewest co-occurrences of a positive pair, the
+  // largest learned distance of an edge, and the embeddings' size and seed.
+  private val CorrelateMinCount = 2L
+  private val CorrelateMaxDist = 1.5
+  private val CorrelateDim = 16
+  private val CorrelateSeed = 17L
+
   /** Train embeddings on frequent co-occurring pairs and emit correlate
-    * edges for candidates whose learned distance is below `maxDist`.
+    * edges for candidates whose learned distance is at most
+    * `CorrelateMaxDist`.
     */
-  def correlateEdges(entityIds: Seq[Long], coPairs: Seq[(Long, Long, Long)],
-                     minCount: Long = 2, maxDist: Double = 1.5,
-                     dim: Int = 16, seed: Long = 17): Seq[Edge] = {
-    val positives = coPairs.collect { case (a, b, n) if n >= minCount => (a, b) }
-    val model = Embeddings.train(entityIds, positives, dim = dim, seed = seed)
+  def correlateEdges(entityIds: Seq[Long], coPairs: Seq[(Long, Long, Long)]): Seq[Edge] = {
+    val positives = coPairs.collect { case (a, b, n) if n >= CorrelateMinCount => (a, b) }
+    val model = Embeddings.train(entityIds, positives, dim = CorrelateDim, seed = CorrelateSeed)
     positives.collect {
-      case (a, b) if model.distance(a, b) <= maxDist =>
+      case (a, b) if model.distance(a, b) <= CorrelateMaxDist =>
         Seq(Edge(a, b, Correlate, "entity-entity"), Edge(b, a, Correlate, "entity-entity"))
     }.flatten
   }

@@ -69,41 +69,46 @@ object GiantPipeline {
   def elementLabels(ex: MiningExample): String => Int =
     GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation)
 
+  /** One GCTSP-Net head's trainer input: the encoded QTIGs of `examples`. */
+  private def headOf(examples: Seq[MiningExample], labels: MiningExample => String => Int,
+                     classes: Int): RGCNTrainer.Head =
+    (examples.map(ex => GCTSPNet.encode(qtigOf(ex), labels(ex))), GCTSPNet.config(classes))
+
   /** Train one GCTSP-Net head on `examples` (Spark-distributed). */
   def trainHead(spark: SparkSession, examples: Seq[MiningExample],
                 labels: MiningExample => String => Int, classes: Int,
                 epochs: Int): RGCN.Params =
-    RGCNTrainer.train(spark, examples.map(ex => GCTSPNet.encode(qtigOf(ex), labels(ex))),
-      GCTSPNet.config(classes), epochs, HeadSeed)
+    RGCNTrainer.train(spark, Seq(headOf(examples, labels, classes)), epochs, HeadSeed).head
 
-  /** Train the three GCTSP-Net heads on the train splits. */
+  /** Train the three GCTSP-Net heads on the train splits, in one Spark stage
+    * per epoch; each head is bitwise equal to [[trainHead]] of its split.
+    */
   def trainModels(spark: SparkSession, corpus: Datasets.Corpus, epochs: Int): TrainedModels = {
     val cmdTrain = corpus.train(corpus.cmd)
     val emdTrain = corpus.train(corpus.emd)
-    TrainedModels(
-      trainHead(spark, cmdTrain, phraseLabels, 2, epochs),
-      trainHead(spark, emdTrain, phraseLabels, 2, epochs),
-      trainHead(spark, emdTrain, elementLabels, GCTSPNet.ElementClasses, epochs))
+    val Seq(concept, event, element) = RGCNTrainer.train(spark, Seq(
+      headOf(cmdTrain, phraseLabels, 2),
+      headOf(emdTrain, phraseLabels, 2),
+      headOf(emdTrain, elementLabels, GCTSPNet.ElementClasses)), epochs, HeadSeed)
+    TrainedModels(concept, event, element)
   }
 
-  /** Mine phrases for every cluster with the trained models (Algorithm 1). */
+  /** Mine phrases for every cluster with the trained models (Algorithm 1):
+    * the CMD clusters with the concept miner and the EMD clusters with the
+    * event miner, in one Spark job.
+    */
   def minePhrases(spark: SparkSession, corpus: Datasets.Corpus,
                   models: TrainedModels): (Seq[Normalize.MinedPhrase], Seq[Normalize.MinedPhrase]) = {
     val sc = spark.sparkContext
-    def mine(xs: Seq[MiningExample], params: RGCN.Params): Seq[Normalize.MinedPhrase] = {
-      val bc = sc.broadcast(params.flat)
-      val cfg = params.cfg
-      val out = sc.parallelize(xs, 16).map { ex =>
-        val g = qtigOf(ex)
-        val p = new RGCN.Params(cfg, bc.value)
-        val phrase = GCTSPNet.minePhrase(g, p)
-        Normalize.MinedPhrase(ex.seed, phrase, ex.isEvent,
-          ex.titles.map(_.tokens), ex.docIds, ex.attnId)
-      }.collect().toSeq
-      bc.destroy()
-      out
-    }
-    (mine(corpus.cmd, models.conceptMiner), mine(corpus.emd, models.eventMiner))
+    val bc = sc.broadcast(Seq(models.conceptMiner, models.eventMiner))
+    val work = corpus.cmd.map(0 -> _) ++ corpus.emd.map(1 -> _)
+    val out = sc.parallelize(work, sc.defaultParallelism).map { case (h, ex) =>
+      val phrase = GCTSPNet.minePhrase(qtigOf(ex), bc.value(h))
+      Normalize.MinedPhrase(ex.seed, phrase, ex.isEvent,
+        ex.titles.map(_.tokens), ex.docIds, ex.attnId)
+    }.collect().toSeq
+    bc.destroy()
+    out.splitAt(corpus.cmd.size)
   }
 
   /** Assemble and link the ontology from mined phrases. */

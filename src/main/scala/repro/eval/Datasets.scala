@@ -37,9 +37,8 @@ object Datasets {
     * random walk, keep the canonical cluster per attention (the one seeded by
     * the attention's first, un-noised query), attach gold.
     */
-  def build(spark: SparkSession, onto: OntoGen.GoldOntology, log: ClickLogGen.ClickLog,
-            deltaV: Double = 0.05): Corpus = {
-    val clusters = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks, deltaV)
+  def build(spark: SparkSession, onto: OntoGen.GoldOntology, log: ClickLogGen.ClickLog): Corpus = {
+    val clusters = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks)
       .collect().toVector
     // canonical seed per attention = smallest query id (created first)
     val canonical = clusters.groupBy(_.gold_attn).map { case (_, cs) => cs.minBy(_.seed) }

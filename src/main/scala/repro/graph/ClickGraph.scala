@@ -1,7 +1,6 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.nlp.Lang
 import scala.collection.mutable
@@ -10,12 +9,13 @@ import scala.collection.mutable
   * lines 1–8): transport probabilities, per-seed random walk and cluster
   * assembly.
   *
-  * The transport probabilities are a DataFrame aggregation. The walk runs per
-  * seed on a broadcast of the transport adjacency, whose size is O(click
-  * edges): the seeds stay a distributed Dataset and each seed walks in one
-  * `flatMap`, with no shuffle per round. Visit mass at a node is summed over
-  * its in-neighbours in ascending neighbour id, starting from 0.0; that order
-  * is part of the contract, because it fixes every weight to the bit.
+  * The transport probabilities come from one DataFrame aggregation of the
+  * clicks, normalised on the driver. The walk runs per seed on a broadcast of
+  * the transport adjacency, whose size is O(click edges): the seeds stay a
+  * distributed Dataset and each seed walks in one `flatMap`, with no shuffle
+  * per round. Visit mass at a node is summed over its in-neighbours in
+  * ascending neighbour id, starting from 0.0; that order is part of the
+  * contract, because it fixes every weight to the bit.
   */
 object ClickGraph {
 
@@ -30,35 +30,29 @@ object ClickGraph {
                               queries: Seq[WText], titles: Seq[WText],
                               docIds: Seq[Long])
 
-  /** Transport probabilities of Eq. (1) and (2).
-    *
-    * @return (pDocGivenQuery(query_id, doc_id, p), pQueryGivenDoc(query_id, doc_id, p))
-    */
-  def transportProbs(clicks: DataFrame): (DataFrame, DataFrame) = {
-    val byQ = Window.partitionBy("query_id")
-    val byD = Window.partitionBy("doc_id")
-    val agg = clicks.groupBy("query_id", "doc_id").agg(sum("cnt") as "cnt")
-    val pDq = agg.select(col("query_id"), col("doc_id"),
-      (col("cnt") / sum("cnt").over(byQ)) as "p")
-    val pQd = agg.select(col("query_id"), col("doc_id"),
-      (col("cnt") / sum("cnt").over(byD)) as "p")
-    (pDq, pQd)
-  }
-
   /** Out-edges of every node, each list sorted by neighbour id. */
   private[graph] type Adjacency = Map[Long, Array[(Long, Double)]]
 
   /** Eq. (1)–(2) as adjacency maps: q → [(d, P(d|q))] and d → [(q, P(q|d))]. */
   private[graph] final case class Transport(docsOf: Adjacency, queriesOf: Adjacency)
 
-  /** Collect [[transportProbs]] into a [[Transport]] on the driver. */
+  /** The transport probabilities of Eq. (1) and (2): one Spark aggregation of
+    * the clicks per (query, doc) pair, collected once; the driver divides each
+    * pair's count by its query's and its doc's exact `Long` totals. That is
+    * the arithmetic Spark's `/` does on a window sum of the counts (both
+    * operands cast to double), so each weight equals the window form's to the
+    * bit.
+    */
   private[graph] def transport(clicks: DataFrame): Transport = {
     import clicks.sparkSession.implicits._
-    val (pDq, pQd) = transportProbs(clicks)
-    def adjacency(df: DataFrame, from: String, to: String): Adjacency =
-      df.select(col(from), col(to), col("p")).as[(Long, Long, Double)].collect()
-        .groupBy(_._1).map { case (k, es) => k -> es.map(e => (e._2, e._3)).sortBy(_._1) }
-    Transport(adjacency(pDq, "query_id", "doc_id"), adjacency(pQd, "doc_id", "query_id"))
+    val pairs = clicks.groupBy("query_id", "doc_id").agg(sum("cnt") as "cnt")
+      .as[(Long, Long, Long)].collect()
+    def adjacency(from: ((Long, Long, Long)) => Long, to: ((Long, Long, Long)) => Long): Adjacency =
+      pairs.groupBy(from).map { case (k, es) =>
+        val total = es.map(_._3).sum.toDouble
+        k -> es.map(e => (to(e), e._3.toDouble / total)).sortBy(_._1)
+      }
+    Transport(adjacency(_._1, _._2), adjacency(_._2, _._1))
   }
 
   /** The random walk from one seed query.
@@ -96,6 +90,18 @@ object ClickGraph {
   /** Per-half-step pruning threshold of the walk. */
   private[graph] val Prune = 0.01
 
+  // Constant `final val`s are inlined, so the seeds' `flatMap` closure does
+  // not capture this object.
+
+  /** Walk rounds (q→d→q each) per seed. */
+  private final val Rounds = 2
+
+  /** δ_v: the lowest visit weight of a cluster member. */
+  private final val DeltaV = 0.05
+
+  /** Most queries and most titles kept per cluster. */
+  private final val MaxMembers = 12
+
   /** Fraction of non-stop tokens must exceed 1/2 (Algorithm 1 keep rule). */
   val mostlyContent: Seq[String] => Boolean = { toks =>
     toks.nonEmpty && Lang.contentTokens(toks).size * 2 > toks.size
@@ -111,14 +117,13 @@ object ClickGraph {
     *
     * Queries/titles are ordered by descending visit weight (ties by id);
     * members below δ_v are dropped; queries that are mostly stop words are
-    * dropped; at most `maxMembers` of each are kept. A seed yields a cluster
+    * dropped; at most `MaxMembers` of each are kept. A seed yields a cluster
     * only when it keeps at least one query and one doc. Clicks on query or
     * doc ids missing from `queries`/`docs` carry walk mass but never become
     * members.
     */
   def clusters(spark: SparkSession, queries: DataFrame, docs: DataFrame,
-               clicks: DataFrame, deltaV: Double = 0.05, rounds: Int = 2,
-               maxMembers: Int = 12): Dataset[ClusterRow] = {
+               clicks: DataFrame): Dataset[ClusterRow] = {
     import spark.implicits._
     val queryTokens = queries.select(col("query_id"), col("tokens")).as[(Long, Seq[String])]
       .collect().filter(q => mostlyContent(q._2)).toMap
@@ -126,16 +131,16 @@ object ClickGraph {
     val state = spark.sparkContext.broadcast(WalkState(transport(clicks), queryTokens, titles))
 
     def members(visits: Map[Long, Double], texts: Map[Long, Seq[String]]): Seq[(Long, WText)] =
-      visits.toSeq.filter(_._2 >= deltaV)
+      visits.toSeq.filter(_._2 >= DeltaV)
         .flatMap { case (id, p) => texts.get(id).map(toks => (id, WText(toks, p))) }
         .sortBy { case (id, t) => (-t.w, id) }
-        .take(maxMembers)
+        .take(MaxMembers)
 
     queries.where(col("kind") === "attention")
       .select(col("query_id"), col("gold_attn"), col("category")).as[(Long, Long, String)]
       .flatMap { case (seed, goldAttn, category) =>
         val s = state.value
-        val (qv, dv) = walk(s.t, seed, rounds, Prune)
+        val (qv, dv) = walk(s.t, seed, Rounds, Prune)
         val qs = members(qv, s.queryTokens)
         val ds = members(dv, s.titles)
         if (qs.isEmpty || ds.isEmpty) None

@@ -2,21 +2,32 @@ package repro.ml
 
 import org.apache.spark.sql.SparkSession
 
-/** Full-batch Adam training for [[RGCN]], on Spark or on the driver alone.
+/** Full-batch Adam training for [[RGCN]] heads, on Spark or on the driver
+  * alone.
   *
-  * Each epoch computes the exact mean loss gradient over all graphs and
-  * applies one Adam step on the driver — the Spark-native analogue of the
-  * paper's GPU training loop. Both entry points run the same loop and differ
-  * only in where the gradient sum comes from.
+  * A call trains one or more independent heads, each a `(graphs, config)`
+  * pair, for the same number of epochs from the same seed. Each epoch computes
+  * every head's exact mean loss gradient over its graphs and applies a
+  * separate Adam step per head on the driver — the Spark-native analogue of
+  * the paper's GPU training loop. Both entry points run the same loop and
+  * differ only in where the gradient sums come from.
   *
-  * Summation order: a partition sums its graphs' gradients in input order,
-  * starting from zero, and the driver adds the partition sums in partition
-  * order. The result depends only on the graphs, their order and the number
-  * of partitions, never on task timing, so two runs give bitwise-identical
-  * parameters. With one partition the sum is exactly the driver-local one;
-  * other partition counts differ from it only by float rounding.
+  * On Spark the graphs are broadcast once per call and each epoch is one
+  * stage over `P` partition ids, one per partition, that serves every head.
+  *
+  * Summation order: partition p sums head h's graphs `[p·n_h/P, (p+1)·n_h/P)`
+  * (the slices `parallelize(graphs, P)` would make) in input order, starting
+  * from zero, and the driver adds each head's partition sums in partition
+  * order. A head's result depends only on its graphs, their order and `P` —
+  * never on task timing or on the other heads — so two runs give
+  * bitwise-identical parameters and a head trained with others equals the
+  * head trained alone. With one partition the sum is exactly the driver-local
+  * one; other partition counts differ from it only by float rounding.
   */
 object RGCNTrainer {
+
+  /** One head's input: its training graphs and its model shape. */
+  type Head = (Seq[RGCN.EncodedGraph], RGCN.Config)
 
   // Adam hyper-parameters of every head.
   private val Lr = 0.01
@@ -45,37 +56,53 @@ object RGCNTrainer {
     }
   }
 
-  /** Distributed training: one Spark stage per epoch over the graphs,
-    * parallelized across `defaultParallelism` partitions.
+  /** Distributed training of `heads` over `defaultParallelism` partitions;
+    * returns their parameters in input order.
     */
-  def train(spark: SparkSession, graphs: Seq[RGCN.EncodedGraph],
-            cfg: RGCN.Config, epochs: Int, seed: Long): RGCN.Params =
-    trainPartitioned(spark, graphs, cfg, epochs, seed, spark.sparkContext.defaultParallelism)
+  def train(spark: SparkSession, heads: Seq[Head], epochs: Int, seed: Long): Seq[RGCN.Params] =
+    trainPartitioned(spark, heads, epochs, seed, spark.sparkContext.defaultParallelism)
 
-  /** Driver-local training over a small in-memory graph collection. */
+  /** Driver-local training of one head over a small in-memory graph collection. */
   def trainLocal(graphs: Seq[RGCN.EncodedGraph], cfg: RGCN.Config,
-                 epochs: Int, seed: Long): RGCN.Params =
-    loop(graphs.size, cfg, epochs, seed)(flat => gradSum(graphs.iterator, new RGCN.Params(cfg, flat)))
+                 epochs: Int, seed: Long): RGCN.Params = {
+    val heads = Seq(graphs -> cfg)
+    requireGraphs(heads)
+    loop(heads, epochs, seed)(flats => Seq(gradSum(graphs.iterator, new RGCN.Params(cfg, flats.head)))).head
+  }
 
-  /** [[train]] over an explicit number of partitions. Each epoch broadcasts
-    * the parameters, sums the gradient per partition and collects the
-    * partial sums.
+  /** [[train]] over an explicit number of partitions. The graphs are
+    * broadcast once; each epoch broadcasts every head's parameters, runs one
+    * stage and collects each partition's per-head sums.
     */
-  private[ml] def trainPartitioned(spark: SparkSession, graphs: Seq[RGCN.EncodedGraph],
-                                   cfg: RGCN.Config, epochs: Int, seed: Long,
-                                   partitions: Int): RGCN.Params = {
+  private[ml] def trainPartitioned(spark: SparkSession, heads: Seq[Head], epochs: Int,
+                                   seed: Long, partitions: Int): Seq[RGCN.Params] = {
+    requireGraphs(heads)
     val sc = spark.sparkContext
-    val rdd = sc.parallelize(graphs, partitions)
-    loop(graphs.size, cfg, epochs, seed) { flat =>
-      val bc = sc.broadcast(flat.clone())
-      val parts = rdd.mapPartitions { it =>
-        Iterator.single(gradSum(it, new RGCN.Params(cfg, bc.value)))
-      }.collect()
-      bc.destroy()
-      val grad = new Array[Double](cfg.nParams)
-      parts.foreach(addTo(grad, _))
-      grad
-    }
+    val cfgs = heads.map(_._2)
+    val graphs = sc.broadcast(heads.map(_._1.toArray))
+    try loop(heads, epochs, seed) { flats =>
+      val params = sc.broadcast(flats.map(_.clone()))
+      val parts = try sc.parallelize(0 until partitions, partitions).map { p =>
+        graphs.value.zip(params.value).zip(cfgs).map { case ((gs, flat), cfg) =>
+          val from = (p.toLong * gs.length / partitions).toInt
+          val until = ((p + 1).toLong * gs.length / partitions).toInt
+          gradSum(gs.iterator.slice(from, until), new RGCN.Params(cfg, flat))
+        }
+      }.collect() finally params.destroy()
+      cfgs.indices.map { h =>
+        val grad = new Array[Double](cfgs(h).nParams)
+        parts.foreach(part => addTo(grad, part(h)))
+        grad
+      }
+    } finally graphs.destroy()
+  }
+
+  /** Reject a call without heads or with a head without graphs, before any
+    * Spark work starts.
+    */
+  private def requireGraphs(heads: Seq[Head]): Unit = {
+    require(heads.nonEmpty, "no heads to train")
+    for ((h, i) <- heads.zipWithIndex) require(h._1.nonEmpty, s"head $i has no training graphs")
   }
 
   /** Summed gradient of `graphs`, in iteration order. */
@@ -90,19 +117,22 @@ object RGCNTrainer {
     while (i < acc.length) { acc(i) += x(i); i += 1 }
   }
 
-  /** The Adam loop: `gradOf` maps the current parameters to the summed
-    * gradient over all `nG` graphs.
+  /** The Adam loop: `gradOf` maps every head's current parameters to its
+    * summed gradient over all of the head's graphs.
     */
-  private def loop(nG: Int, cfg: RGCN.Config, epochs: Int, seed: Long)
-                  (gradOf: Array[Double] => Array[Double]): RGCN.Params = {
-    require(nG > 0, "no training graphs")
-    val params = RGCN.init(cfg, seed)
-    val adam = new Adam(cfg.nParams)
+  private def loop(heads: Seq[Head], epochs: Int, seed: Long)
+                  (gradOf: Seq[Array[Double]] => Seq[Array[Double]]): Seq[RGCN.Params] = {
+    val params = heads.map(h => RGCN.init(h._2, seed))
+    val adams = heads.map(h => new Adam(h._2.nParams))
     for (_ <- 1 to epochs) {
-      val grad = gradOf(params.flat)
-      var i = 0
-      while (i < grad.length) { grad(i) /= nG; i += 1 }
-      adam.step(params.flat, grad)
+      val grads = gradOf(params.map(_.flat))
+      for (h <- heads.indices) {
+        val grad = grads(h)
+        val nG = heads(h)._1.size
+        var i = 0
+        while (i < grad.length) { grad(i) /= nG; i += 1 }
+        adams(h).step(params(h).flat, grad)
+      }
     }
     params
   }

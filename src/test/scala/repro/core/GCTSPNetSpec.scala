@@ -53,8 +53,7 @@ class GCTSPNetSpec extends SparkSpec {
     val test = corpus.test(corpus.cmd) ++ corpus.dev(corpus.cmd)
     assert(train.size > 30 && test.nonEmpty)
     val graphs = train.map(ex => GCTSPNet.encode(GiantPipeline.qtigOf(ex), GCTSPNet.binaryLabels(ex.gold)))
-    val params = RGCNTrainer.train(spark, graphs,
-      GCTSPNet.config(2), epochs = 40, seed = 13)
+    val params = RGCNTrainer.train(spark, Seq(graphs -> GCTSPNet.config(2)), epochs = 40, seed = 13).head
     val pairs = test.map { ex =>
       (GCTSPNet.minePhrase(GiantPipeline.qtigOf(ex), params), ex.gold)
     }
@@ -71,8 +70,8 @@ class GCTSPNetSpec extends SparkSpec {
       GCTSPNet.encode(GiantPipeline.qtigOf(ex),
         GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation))
     }
-    val params = RGCNTrainer.train(spark, graphs,
-      GCTSPNet.config(GCTSPNet.ElementClasses), epochs = 40, seed = 13)
+    val params = RGCNTrainer.train(spark, Seq(graphs -> GCTSPNet.config(GCTSPNet.ElementClasses)),
+      epochs = 40, seed = 13).head
     val pairs = test.flatMap { ex =>
       val lf = GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation)
       val cls = GCTSPNet.classifyElements(GiantPipeline.qtigOf(ex), params)

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
@@ -31,8 +32,17 @@ class ClickGraphSpec extends SparkSpec {
       walks.flatMap { case (s, (_, dv)) => dv.map { case (d, p) => (s, d, p) } }.toDF("seed", "doc_id", "p"))
   }
 
+  /** [[ClickGraph.transport]]'s adjacency as DataFrames:
+    * (pDocGivenQuery(query_id, doc_id, p), pQueryGivenDoc(query_id, doc_id, p)).
+    */
+  private def transportFrames(clicks: DataFrame): (DataFrame, DataFrame) = {
+    val t = ClickGraph.transport(clicks)
+    (t.docsOf.toSeq.flatMap { case (q, ds) => ds.map { case (d, p) => (q, d, p) } }.toDF("query_id", "doc_id", "p"),
+      t.queriesOf.toSeq.flatMap { case (d, qs) => qs.map { case (q, p) => (q, d, p) } }.toDF("query_id", "doc_id", "p"))
+  }
+
   test("transport probabilities P(d|q) match DuckDB (Eq. 1)") {
-    val (pDq, _) = ClickGraph.transportProbs(clicks)
+    val (pDq, _) = transportFrames(clicks)
     Oracle.assertEquivalent(
       pDq.select($"query_id", $"doc_id", round($"p", 6) as "p"),
       """SELECT CAST(query_id AS BIGINT) AS query_id, CAST(doc_id AS BIGINT) AS doc_id,
@@ -43,7 +53,7 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("transport probabilities P(q|d) match DuckDB (Eq. 2)") {
-    val (_, pQd) = ClickGraph.transportProbs(clicks)
+    val (_, pQd) = transportFrames(clicks)
     Oracle.assertEquivalent(
       pQd.select($"query_id", $"doc_id", round($"p", 6) as "p"),
       """SELECT CAST(query_id AS BIGINT) AS query_id, CAST(doc_id AS BIGINT) AS doc_id,
@@ -54,7 +64,7 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("P(d|q) sums to 1 per query") {
-    val (pDq, _) = ClickGraph.transportProbs(clicks)
+    val (pDq, _) = transportFrames(clicks)
     val sums = pDq.groupBy("query_id").agg(sum("p") as "s").collect()
     sums.foreach(r => assert(math.abs(r.getDouble(1) - 1.0) < 1e-9))
   }
@@ -214,6 +224,35 @@ class ClickGraphSpec extends SparkSpec {
       def run(cs: Seq[ClickRow], n: Int) =
         ClickGraph.clusters(spark, queries, docs, cs.toDF().repartition(n)).collect().sortBy(_.seed).toSeq
       run(rows, 1) == run(new Random(shuffleSeed).shuffle(rows), parts)
+    })
+  }
+
+  /** Reference for [[ClickGraph.transport]]: Eq. (1)–(2) as Spark window sums
+    * over the aggregated clicks, as weight bits per node, sorted by neighbour id.
+    */
+  private def windowTransport(clicks: DataFrame): Map[String, Map[Long, Seq[(Long, Long)]]] = {
+    val agg = clicks.groupBy("query_id", "doc_id").agg(sum("cnt") as "cnt")
+    def probs(from: String, to: String) =
+      agg.select(col(from), col(to), col("cnt") / sum("cnt").over(Window.partitionBy(from)))
+        .as[(Long, Long, Double)].collect().toSeq
+        .groupBy(_._1).map { case (k, es) =>
+          k -> es.map(e => (e._2, java.lang.Double.doubleToRawLongBits(e._3))).sortBy(_._1)
+        }
+    Map("docsOf" -> probs("query_id", "doc_id"), "queriesOf" -> probs("doc_id", "query_id"))
+  }
+
+  test("property: transport weights are bit-equal to the window-sum form, for any row order and partitioning") {
+    val inputs = for {
+      rows <- clickGraphs
+      shuffleSeed <- Gen.choose(0L, Long.MaxValue)
+      parts <- Gen.choose(1, 5)
+    } yield (rows, shuffleSeed, parts)
+    def bits(adj: ClickGraph.Adjacency): Map[Long, Seq[(Long, Long)]] =
+      adj.map { case (k, es) => k -> es.toSeq.map { case (n, p) => (n, java.lang.Double.doubleToRawLongBits(p)) } }
+    check(Prop.forAllNoShrink(inputs) { case (rows, shuffleSeed, parts) =>
+      val df = new Random(shuffleSeed).shuffle(rows).toDF().repartition(parts)
+      val t = ClickGraph.transport(df)
+      Map("docsOf" -> bits(t.docsOf), "queriesOf" -> bits(t.queriesOf)) == windowTransport(rows.toDF())
     })
   }
 

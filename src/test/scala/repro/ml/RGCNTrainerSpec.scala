@@ -1,5 +1,6 @@
 package repro.ml
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 
 class RGCNTrainerSpec extends SparkSpec {
@@ -18,26 +19,31 @@ class RGCNTrainerSpec extends SparkSpec {
 
   private def bits(p: RGCN.Params): Seq[Long] = p.flat.map(java.lang.Double.doubleToRawLongBits).toSeq
 
+  /** One head trained on Spark over `parts` partitions. */
+  private def trainOn(parts: Int, graphs: Seq[RGCN.EncodedGraph], cfg: RGCN.Config,
+                      epochs: Int, seed: Long): RGCN.Params =
+    RGCNTrainer.trainPartitioned(spark, Seq(graphs -> cfg), epochs, seed, parts).head
+
   test("distributed training equals local training (same full-batch gradient)") {
     val graphs = (1 to 8).map(graph)
     val local = RGCNTrainer.trainLocal(graphs, cfg, epochs = 5, seed = 3)
     for (parts <- Seq(1, 3, 8)) {
-      val dist = RGCNTrainer.trainPartitioned(spark, graphs, cfg, epochs = 5, seed = 3, parts)
+      val dist = trainOn(parts, graphs, cfg, epochs = 5, seed = 3)
       val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
       assert(maxDiff < 1e-9, s"$parts partitions: parameter divergence $maxDiff")
       // one partition sums in exactly the local order
       if (parts == 1) assert(dist.flat.toSeq == local.flat.toSeq)
     }
-    val dist = RGCNTrainer.train(spark, graphs, cfg, epochs = 5, seed = 3)
+    val dist = RGCNTrainer.train(spark, Seq(graphs -> cfg), epochs = 5, seed = 3).head
     val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
     assert(maxDiff < 1e-9, s"parameter divergence $maxDiff")
   }
 
   test("two distributed runs on the same input give bitwise-identical parameters") {
     val graphs = (1 to 11).map(graph)
-    def run(parts: Int) = bits(RGCNTrainer.trainPartitioned(spark, graphs, cfg, epochs = 4, seed = 7, parts))
+    def run(parts: Int) = bits(trainOn(parts, graphs, cfg, epochs = 4, seed = 7))
     for (parts <- Seq(3, 8)) assert(run(parts) == run(parts), s"$parts partitions")
-    def runDefault = bits(RGCNTrainer.train(spark, graphs, cfg, epochs = 4, seed = 7))
+    def runDefault = bits(RGCNTrainer.train(spark, Seq(graphs -> cfg), epochs = 4, seed = 7).head)
     assert(runDefault == runDefault)
   }
 
@@ -49,7 +55,7 @@ class RGCNTrainerSpec extends SparkSpec {
     val graphs = (1 to 8).map(graph)
     assert(digest(RGCNTrainer.trainLocal(graphs, cfg, epochs = 5, seed = 3)) ==
       "625b918d38ddfd96c70c5182cc3b29f6654e2d1fc56687b300118a0e7f51980c")
-    assert(digest(RGCNTrainer.trainPartitioned(spark, graphs, cfg, epochs = 5, seed = 3, 3)) ==
+    assert(digest(trainOn(3, graphs, cfg, epochs = 5, seed = 3)) ==
       "ef675fa3cbfd170b35ad857f39122dbfdc2222b68f89c82eb2a65c3b2afd726d")
   }
 
@@ -72,7 +78,60 @@ class RGCNTrainerSpec extends SparkSpec {
 
   test("empty graph set is rejected") {
     intercept[IllegalArgumentException] {
-      RGCNTrainer.train(spark, Seq.empty[RGCN.EncodedGraph], cfg, epochs = 1, seed = 1)
+      RGCNTrainer.train(spark, Seq(Seq.empty[RGCN.EncodedGraph] -> cfg), epochs = 1, seed = 1)
+    }
+    intercept[IllegalArgumentException] {
+      RGCNTrainer.train(spark, Seq.empty, epochs = 1, seed = 1)
+    }
+  }
+
+  /** Graphs for a head of `classes` output classes. */
+  private def graphs(n: Int, classes: Int, from: Int): Seq[RGCN.EncodedGraph] =
+    (from until from + n).map { s =>
+      val g = graph(s)
+      g.copy(labels = g.labels.indices.map(i => (i + s) % classes).toArray)
+    }
+
+  test("a head with no graphs is rejected by index before any Spark job") {
+    val sc = spark.sparkContext
+    val started = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        started.add(Option(e.properties).map(_.getProperty("spark.job.description")).orNull)
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobDescription("three heads, middle one empty")
+      val e = try intercept[IllegalArgumentException] {
+        RGCNTrainer.train(spark, Seq(graphs(4, 2, 1) -> cfg, Seq.empty -> cfg,
+          graphs(3, 3, 7) -> cfg.copy(outClasses = 3)), epochs = 2, seed = 1)
+      } finally sc.setJobDescription(null)
+      assert(e.getMessage.contains("head 1 "), e.getMessage)
+      // listener events arrive in order: once the marker job is seen, any
+      // job the failed call started would have been seen before it
+      sc.setJobDescription("marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      val deadline = System.nanoTime() + 30e9.toLong
+      while (!started.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(started.contains("marker"))
+      assert(!started.contains("three heads, middle one empty"))
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("three heads trained together are bitwise equal to each head trained alone") {
+    // head 1 has fewer graphs than most partition counts (empty slices);
+    // head 2 has three output classes
+    val heads = Seq(graphs(11, 2, 1) -> cfg, graphs(2, 2, 20) -> cfg,
+      graphs(7, 3, 30) -> cfg.copy(outClasses = 3))
+    for (parts <- Seq(1, 3, 8)) {
+      val together = RGCNTrainer.trainPartitioned(spark, heads, epochs = 4, seed = 5, parts)
+      assert(together.size == heads.size)
+      for (((gs, c), p) <- heads.zip(together)) {
+        assert(bits(p) == bits(trainOn(parts, gs, c, epochs = 4, seed = 5)),
+          s"$parts partitions, ${c.outClasses} classes, ${gs.size} graphs")
+        // one partition sums in exactly the local order
+        if (parts == 1) assert(bits(p) == bits(RGCNTrainer.trainLocal(gs, c, epochs = 4, seed = 5)))
+      }
     }
   }
 }
