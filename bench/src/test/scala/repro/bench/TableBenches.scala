@@ -41,13 +41,13 @@ class Table2EdgesBench extends AnyFunSuite {
 /** Tables 3 & 4 — showcases of mined concepts and events/topics. */
 class Table3And4ShowcaseBench extends AnyFunSuite {
   test("Table 3: concept showcases") {
-    val rows = Tables.table3(BenchShared.pipeline._1, k = 6)
+    val rows = Tables.table3(BenchShared.pipeline._1)
     BenchShared.print(TablePrinter.table3(rows))
     assert(rows.nonEmpty)
   }
 
   test("Table 4: event and topic showcases") {
-    val rows = Tables.table4(BenchShared.pipeline._1, k = 6)
+    val rows = Tables.table4(BenchShared.pipeline._1)
     BenchShared.print(TablePrinter.table4(rows))
     assert(rows.nonEmpty)
   }

@@ -22,7 +22,7 @@ object ReproduceJob {
     val scale = if (args.contains("--bench")) Tables.BenchScale else Tables.TestScale
     val (res, report) = Tables.tables1and2(spark, scale)
     Seq(TablePrinter.table1(report), TablePrinter.table2(report),
-      TablePrinter.table3(Tables.table3(res, k = 6)), TablePrinter.table4(Tables.table4(res, k = 6)),
+      TablePrinter.table3(Tables.table3(res)), TablePrinter.table4(Tables.table4(res)),
       TablePrinter.table5(Tables.table5(res)), TablePrinter.table6(Tables.table6(res)),
       TablePrinter.table7(Tables.table7(res)), TablePrinter.docTagging(DocTaggingEval.run(res)))
       .flatten.foreach(println)

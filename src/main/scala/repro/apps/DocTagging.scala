@@ -17,7 +17,7 @@ import repro.nlp.{Lang, PhraseIndex}
 object DocTagging {
 
   /** Lowest coherence-weighted score `tagConcepts` keeps. */
-  val MinConceptScore = 0.05
+  private val MinConceptScore = 0.05
 
   /** Key entities of a document: dictionary entities mentioned in the body,
     * with mention counts (P(e|d) in Eq. 12 is the normalized count), in
@@ -42,8 +42,7 @@ object DocTagging {
                   dictionary: PhraseIndex,
                   parentConcepts: Map[Long, Seq[Long]],
                   conceptRep: Map[Long, Seq[String]],
-                  df: Map[String, Int], nDocs: Int,
-                  minScore: Double): Seq[(Long, Double)] = {
+                  df: Map[String, Int], nDocs: Int): Seq[(Long, Double)] = {
     val ents = keyEntities(body, dictionary)
     val cands = ents.flatMap { case (eid, pe) =>
       parentConcepts.getOrElse(eid, Seq.empty).map(c => (c, pe))
@@ -51,27 +50,27 @@ object DocTagging {
     cands.groupBy(_._1).toSeq.map { case (cid, grp) =>
       val coherence = Normalize.tfidfCosine(title, conceptRep.getOrElse(cid, Seq.empty), df, nDocs)
       (cid, coherence * (1.0 + grp.map(_._2).sum))
-    }.filter(_._2 >= minScore).sortBy(-_._2)
+    }.filter(_._2 >= MinConceptScore).sortBy(-_._2)
   }
 
   def tagConcepts(title: Seq[String], body: Seq[String],
                   dictionary: Seq[(Long, Seq[String])],
                   parentConcepts: Map[Long, Seq[Long]],
                   conceptRep: Map[Long, Seq[String]],
-                  df: Map[String, Int], nDocs: Int,
-                  minScore: Double = MinConceptScore): Seq[(Long, Double)] =
-    tagConcepts(title, body, PhraseIndex(dictionary), parentConcepts, conceptRep, df, nDocs, minScore)
+                  df: Map[String, Int], nDocs: Int): Seq[(Long, Double)] =
+    tagConcepts(title, body, PhraseIndex(dictionary), parentConcepts, conceptRep, df, nDocs)
+
+  /** Tokens each side of a mention: Eq. 13's "same sentence". */
+  private val ContextWindow = 5
 
   /** Probabilistic inference fallback (Eq. 12–14) when the ontology has no
     * parent concept for the key entities: infer concepts from the context
     * words around each entity.
     *
     * @param concepts (conceptId, phrase)
-    * @param window   context window standing in for "same sentence"
     */
   def inferConcepts(body: Seq[String], dictionary: Seq[(Long, Seq[String])],
-                    concepts: Seq[(Long, Seq[String])],
-                    window: Int = 5): Seq[(Long, Double)] = {
+                    concepts: Seq[(Long, Seq[String])]): Seq[(Long, Double)] = {
     val index = PhraseIndex(dictionary)
     val ents = keyEntities(body, index)
     val mentions = index.find(body)
@@ -87,7 +86,7 @@ object DocTagging {
       val name = index.entries(e)._2
       val positions = mentions.getOrElse(e, Seq.empty)
       val ctx = positions.flatMap { i =>
-        body.slice(math.max(0, i - window), math.min(body.size, i + name.size + window))
+        body.slice(math.max(0, i - ContextWindow), math.min(body.size, i + name.size + ContextWindow))
       }.filterNot(t => Lang.isStop(t) || Lang.isPunct(t) || name.contains(t))
       if (ctx.nonEmpty) {
         val pxe = ctx.groupBy(identity).view.mapValues(_.size.toDouble / ctx.size) // P(x|e)
@@ -119,28 +118,32 @@ object DocTagging {
     if (na == 0 || nb == 0) 0.0 else dot / (na * nb)
   }
 
-  /** Tag events/topics: LCS over (title + first body clause) above a
-    * fraction of the phrase length AND positive semantic match (Sec. 4).
+  // Lowest LCS over phrase length, and lowest semantic match, of an event tag.
+  private val LcsFrac = 0.6
+  private val SimThreshold = 0.25
+
+  /** Tag events/topics: LCS over (title + first body clause) of at least
+    * `LcsFrac` of the phrase length AND a semantic match of at least
+    * `SimThreshold` (Sec. 4).
     *
     * The LCS runs only for events that can pass: it is at most
     * #{j : phrase(j) ∈ target}, so an event whose shared-token count is
-    * below `lcsFrac` of its length is skipped without changing the result
-    * (with `lcsFrac` > 0 this drops every event sharing no token). Surviving
-    * events keep their input order, so ties sort as in the full loop.
+    * below `LcsFrac` of its length is skipped without changing the result
+    * (this drops every event sharing no token). Surviving events keep their
+    * input order, so ties sort as in the full loop.
     */
   def tagEvents(title: Seq[String], body: Seq[String],
-                eventPhrases: Seq[(Long, Seq[String])],
-                lcsFrac: Double = 0.6, simThreshold: Double = 0.25): Seq[(Long, Double)] = {
+                eventPhrases: Seq[(Long, Seq[String])]): Seq[(Long, Double)] = {
     val firstClause = body.takeWhile(t => !Lang.isPunct(t))
     val target = title ++ firstClause
     val inTarget = target.toSet
     eventPhrases.flatMap { case (id, phrase) =>
       val len = math.max(1, phrase.size)
-      if (phrase.count(inTarget).toDouble / len < lcsFrac) None
+      if (phrase.count(inTarget).toDouble / len < LcsFrac) None
       else {
         val lcs = lcsLen(phrase, target).toDouble / len
         val sim = semanticSim(phrase, target)
-        if (lcs >= lcsFrac && sim >= simThreshold) Some((id, lcs + sim)) else None
+        if (lcs >= LcsFrac && sim >= SimThreshold) Some((id, lcs + sim)) else None
       }
     }.sortBy(-_._2)
   }

@@ -13,13 +13,17 @@ object AutoPhraseLite {
 
   private def noStop(gram: Seq[String]): Boolean = gram.forall(t => !Lang.isStop(t) && !Lang.isPunct(t))
 
-  def minePhrases(texts: Seq[Seq[String]], maxLen: Int = 4, topK: Int = 5): Seq[Seq[String]] = {
+  /** Longest candidate n-gram, and phrases kept (paper: top 5). */
+  private val MaxLen = 4
+  private val TopK = 5
+
+  def minePhrases(texts: Seq[Seq[String]]): Seq[Seq[String]] = {
     val uni = collection.mutable.Map[String, Int]().withDefaultValue(0)
     val grams = collection.mutable.Map[Seq[String], Int]().withDefaultValue(0)
     var total = 0
     for (t <- texts) {
       for (tok <- t if !Lang.isPunct(tok)) { uni(tok) += 1; total += 1 }
-      for (len <- 1 to maxLen; g <- t.sliding(len) if g.size == len && noStop(g)) grams(g) += 1
+      for (len <- 1 to MaxLen; g <- t.sliding(len) if g.size == len && noStop(g)) grams(g) += 1
     }
     if (total == 0) return Seq.empty
     def quality(g: Seq[String], f: Int): Double = {
@@ -35,13 +39,13 @@ object AutoPhraseLite {
     grams.toSeq
       .filter(_._2 >= 2)
       .sortBy { case (g, f) => (-quality(g, f), g.mkString(" ")) }
-      .take(topK)
+      .take(TopK)
       .map(_._1)
   }
 
   /** Extract a phrase: tokens of the top phrases, in first-appearance order. */
-  def extract(texts: Seq[Seq[String]], topK: Int = 5): Seq[String] = {
-    val toks = minePhrases(texts, topK = topK).flatten.toSet
+  def extract(texts: Seq[Seq[String]]): Seq[String] = {
+    val toks = minePhrases(texts).flatten.toSet
     texts.flatten.distinct.filter(toks)
   }
 }

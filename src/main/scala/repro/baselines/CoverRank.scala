@@ -21,20 +21,24 @@ object CoverRank {
     out.result()
   }
 
+  // Subtitle token-count band (paper: 6 to 20 characters), and the queries
+  // and subtitles each that `topTexts` keeps.
+  private val LenLo = 3
+  private val LenHi = 10
+  private val TopTexts = 2
+
   /** Rank all subtitles of a cluster.
     *
     * @param queries weighted query token sequences (weight = click mass)
     * @param titles  weighted title token sequences
-    * @param lenLo   minimum subtitle token count (paper: 6 chars, ours: 3 tokens)
-    * @param lenHi   maximum subtitle token count (paper: 20 chars, ours: 10 tokens)
     */
-  def rank(queries: Seq[(Seq[String], Double)], titles: Seq[(Seq[String], Double)],
-           lenLo: Int = 3, lenHi: Int = 10): Seq[(Seq[String], Int, Double)] = {
+  def rank(queries: Seq[(Seq[String], Double)],
+           titles: Seq[(Seq[String], Double)]): Seq[(Seq[String], Int, Double)] = {
     val qTokens = queries.flatMap(_._1).filterNot(Lang.isStop).toSet
     val cands = for {
       (title, w) <- titles
       sub <- subtitles(title)
-      if sub.size >= lenLo && sub.size <= lenHi
+      if sub.size >= LenLo && sub.size <= LenHi
     } yield {
       val cover = sub.filterNot(Lang.isStop).distinct.count(qTokens)
       (sub, cover, w)
@@ -43,15 +47,14 @@ object CoverRank {
   }
 
   /** Top-ranked subtitle = the candidate event phrase. */
-  def extract(queries: Seq[(Seq[String], Double)], titles: Seq[(Seq[String], Double)],
-              lenLo: Int = 3, lenHi: Int = 10): Seq[String] =
-    rank(queries, titles, lenLo, lenHi).headOption.map(_._1).getOrElse(Seq.empty)
+  def extract(queries: Seq[(Seq[String], Double)], titles: Seq[(Seq[String], Double)]): Seq[String] =
+    rank(queries, titles).headOption.map(_._1).getOrElse(Seq.empty)
 
-  /** Top-k queries + subtitles (feed for the TextRank event baseline). */
-  def topTexts(queries: Seq[(Seq[String], Double)], titles: Seq[(Seq[String], Double)],
-               k: Int = 2): Seq[Seq[String]] = {
-    val topQ = queries.sortBy(-_._2).take(k).map(_._1)
-    val topS = rank(queries, titles).take(k).map(_._1)
+  /** Top queries + subtitles (feed for the TextRank event baseline). */
+  def topTexts(queries: Seq[(Seq[String], Double)],
+               titles: Seq[(Seq[String], Double)]): Seq[Seq[String]] = {
+    val topQ = queries.sortBy(-_._2).take(TopTexts).map(_._1)
+    val topS = rank(queries, titles).take(TopTexts).map(_._1)
     topQ ++ topS
   }
 }

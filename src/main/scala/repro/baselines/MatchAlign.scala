@@ -21,6 +21,14 @@ object MatchAlign {
 
   val SeedPatterns: Seq[Pattern] = Seq(Seq("what", "are", "the"))
 
+  /** Bootstrapping rounds, and the fewest queries that teach a new prefix.
+    * Support 2: the stop-word filter keeps most heavy-prefix queries out of
+    * clusters, so pattern evidence is scarce (which is exactly why Match
+    * trails Align).
+    */
+  private val Rounds = 3
+  private val MinSupport = 2
+
   /** Strip stop/punct from both ends. */
   private def trim(tokens: Seq[String]): Seq[String] =
     tokens.dropWhile(t => Lang.isStop(t) || Lang.isPunct(t))
@@ -35,22 +43,21 @@ object MatchAlign {
   /** One bootstrapping pass: learn new prefixes from queries whose suffix is
     * a known concept (minimum support to avoid noise).
     */
-  def learnPatterns(queries: Seq[Seq[String]], concepts: Set[Seq[String]],
-                    minSupport: Int = 3): Seq[Pattern] = {
+  def learnPatterns(queries: Seq[Seq[String]], concepts: Set[Seq[String]]): Seq[Pattern] = {
     val counts = collection.mutable.Map[Pattern, Int]().withDefaultValue(0)
     for (q <- queries; c <- concepts if q.endsWith(c) && q.size > c.size) {
       val prefix = q.dropRight(c.size)
       if (prefix.forall(Lang.isStop)) counts(prefix) += 1
     }
-    counts.filter(_._2 >= minSupport).keys.toSeq
+    counts.filter(_._2 >= MinSupport).keys.toSeq
   }
 
   /** Bootstrap patterns over a training corpus of queries (Sec. 3.1). */
-  def bootstrap(queries: Seq[Seq[String]], rounds: Int = 3, minSupport: Int = 3): Seq[Pattern] = {
+  def bootstrap(queries: Seq[Seq[String]]): Seq[Pattern] = {
     var patterns = SeedPatterns
-    for (_ <- 0 until rounds) {
+    for (_ <- 0 until Rounds) {
       val concepts = queries.flatMap(q => matchExtract(q, patterns)).toSet
-      patterns = (patterns ++ learnPatterns(queries, concepts, minSupport)).distinct
+      patterns = (patterns ++ learnPatterns(queries, concepts)).distinct
     }
     patterns
   }

@@ -10,8 +10,13 @@ import repro.nlp.Lang
   */
 object TextRank {
 
-  def keywords(texts: Seq[Seq[String]], topK: Int = 5, damping: Double = 0.85,
-               iters: Int = 30): Seq[String] = {
+  /** Keywords kept (paper: top 5), PageRank damping and iterations. */
+  private val TopK = 5
+  private val Damping = 0.85
+  private val Iters = 30
+
+  /** The top `TopK` keywords, highest PageRank score first. */
+  def keywords(texts: Seq[Seq[String]]): Seq[String] = {
     val contents = texts.map(Lang.contentTokens)
     val vocab = contents.flatten.distinct.toVector
     if (vocab.isEmpty) return Seq.empty
@@ -21,18 +26,18 @@ object TextRank {
       nbrs(a) += b; nbrs(b) += a
     }
     var score = Array.fill(vocab.size)(1.0)
-    for (_ <- 0 until iters) {
-      val next = Array.fill(vocab.size)(1 - damping)
+    for (_ <- 0 until Iters) {
+      val next = Array.fill(vocab.size)(1 - Damping)
       for (i <- vocab.indices; j <- nbrs(i) if nbrs(j).nonEmpty)
-        next(i) += damping * score(j) / nbrs(j).size
+        next(i) += Damping * score(j) / nbrs(j).size
       score = next
     }
-    vocab.indices.sortBy(-score(_)).take(topK).map(vocab)
+    vocab.indices.sortBy(-score(_)).take(TopK).map(vocab)
   }
 
-  /** Extract a phrase: top-k keywords ordered by first appearance. */
-  def extract(texts: Seq[Seq[String]], topK: Int = 5): Seq[String] = {
-    val kws = keywords(texts, topK).toSet
+  /** Extract a phrase: the keywords ordered by first appearance. */
+  def extract(texts: Seq[Seq[String]]): Seq[String] = {
+    val kws = keywords(texts).toSet
     val flat = texts.flatten
     flat.distinct.filter(kws)
   }

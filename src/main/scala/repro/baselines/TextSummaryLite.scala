@@ -12,14 +12,14 @@ import repro.graph.QTIG
   */
 final class TextSummaryLite private (bigrams: Map[String, Map[String, Int]]) extends Serializable {
 
-  /** Greedy decode from `<sos>`, never repeating a token, up to `maxLen`. */
-  def summarize(maxLen: Int = 12): Seq[String] = {
+  /** Greedy decode from `<sos>`, never repeating a token, up to `MaxLen`. */
+  def summarize(): Seq[String] = {
     val out = Vector.newBuilder[String]
     var cur = QTIG.Sos
     var emitted = Set.empty[String]
     var steps = 0
     var done = false
-    while (!done && steps < maxLen) {
+    while (!done && steps < TextSummaryLite.MaxLen) {
       val nexts = bigrams.getOrElse(cur, Map.empty).filter { case (t, _) => !emitted.contains(t) }
       if (nexts.isEmpty) done = true
       else {
@@ -33,6 +33,9 @@ final class TextSummaryLite private (bigrams: Map[String, Map[String, Int]]) ext
 }
 
 object TextSummaryLite {
+
+  /** Most tokens in a summary. */
+  private val MaxLen = 12
 
   /** Fit the bigram LM on training texts (queries + titles, with markers). */
   def fit(corpus: Seq[Seq[String]]): TextSummaryLite = {

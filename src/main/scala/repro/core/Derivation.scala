@@ -31,14 +31,17 @@ object Derivation {
         h.pos == "NOUN"
       }
 
+  /** Fewest distinct concepts sharing a CSD suffix (paper: support 2). */
+  private val MinSuffixSupport = 2
+
   /** CSD as a DataFrame aggregation: explode all proper suffixes of each
     * concept phrase, count distinct concepts per suffix, keep noun phrases
-    * with support ≥ `minCount`.
+    * with support ≥ `MinSuffixSupport`.
     *
     * @param concepts DataFrame with columns (id: Long, phrase: array<string>)
     * @return DataFrame (suffix: array<string>, support: long)
     */
-  def commonSuffixes(spark: SparkSession, concepts: DataFrame, minCount: Int = 2): DataFrame = {
+  def commonSuffixes(spark: SparkSession, concepts: DataFrame): DataFrame = {
     val suffixesUdf = udf { (phrase: Seq[String]) =>
       (1 until phrase.size).map(i => phrase.drop(i))
     }
@@ -47,7 +50,7 @@ object Derivation {
       .select(col("id"), explode(suffixesUdf(col("phrase"))) as "suffix")
       .where(npUdf(col("suffix")))
       .groupBy("suffix").agg(countDistinct("id") as "support")
-      .where(col("support") >= minCount)
+      .where(col("support") >= MinSuffixSupport)
   }
 
   /** The event pattern: entity-NER tokens collapsed into one `<E>` slot. */
@@ -64,16 +67,17 @@ object Derivation {
   final case class DerivedTopic(phrase: Seq[String], eventNodeIds: Seq[Long],
                                 conceptPhrase: Seq[String])
 
+  /** Fewest events sharing a CPD pattern and its concept (paper: support 2). */
+  private val MinPatternSupport = 2
+
   /** CPD over mined event nodes.
     *
     * @param events          (nodeId, phrase) of mined event nodes
     * @param entityConcepts  entity token-seq → concept phrases it isA
     *                        (most fine-grained first)
-    * @param minSupport      minimum events sharing a pattern
     */
   def commonPatterns(events: Seq[(Long, Seq[String])],
-                     entityConcepts: Map[Seq[String], Seq[Seq[String]]],
-                     minSupport: Int = 2): Seq[DerivedTopic] = {
+                     entityConcepts: Map[Seq[String], Seq[Seq[String]]]): Seq[DerivedTopic] = {
     // entity mention inside each event = maximal run of ENT tokens
     def entityOf(tokens: Seq[String]): Seq[String] = tokens.filter(t => Lang.info(t).ner == "ENT")
 
@@ -85,25 +89,25 @@ object Derivation {
       })
 
     events.groupBy { case (_, p) => normalized(p) }
-      .filter { case (pat, evs) => pat.contains("<E>") && evs.size >= minSupport }
+      .filter { case (pat, evs) => pat.contains("<E>") && evs.size >= MinPatternSupport }
       .flatMap { case (pat, evs) =>
         // Events in one pattern group need not all share a concept (the same
         // trigger can span categories, and a mis-mined entity has none), so
         // sub-group per shared concept: each event joins the most
-        // fine-grained concept that at least `minSupport` of the group's
+        // fine-grained concept that at least `MinPatternSupport` of the group's
         // entities have an isA path to.
         val conceptsOf: Map[Long, Set[Seq[String]]] = evs.map { case (id, p) =>
           id -> entityConcepts.getOrElse(entityOf(p), Seq.empty).toSet
         }.toMap
         val support = conceptsOf.values.flatten.groupBy(identity).view.mapValues(_.size)
-        val qualified = support.filter(_._2 >= minSupport).keys.toSet
+        val qualified = support.filter(_._2 >= MinPatternSupport).keys.toSet
         val assigned = evs.flatMap { case (id, _) =>
           val cands = conceptsOf(id).intersect(qualified)
           if (cands.isEmpty) None
           else Some(cands.toSeq.sortBy(c => (-c.size, c.mkString(" "))).head -> id)
         }
         assigned.groupBy(_._1).collect {
-          case (concept, members) if members.size >= minSupport =>
+          case (concept, members) if members.size >= MinPatternSupport =>
             val phrase = pat.flatMap(t => if (t == "<E>") concept else Seq(t))
             DerivedTopic(phrase, members.map(_._2), concept)
         }

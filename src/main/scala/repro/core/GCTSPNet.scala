@@ -33,8 +33,7 @@ object GCTSPNet {
       case QTIG.Sos | QTIG.Eos => 0
       case t => labelOf(t)
     }.toArray
-    RGCN.EncodedGraph(Features.encodeGraph(g), rels.map(_.result().toArray),
-      labels, Array.fill(g.size)(true))
+    RGCN.EncodedGraph(Features.encodeGraph(g), rels.map(_.result().toArray), labels)
   }
 
   /** Binary-head training labels from a gold phrase. */
@@ -52,12 +51,14 @@ object GCTSPNet {
          else ClsOther
   }
 
+  /** Binary-head probability above which a node is in the phrase. */
+  private val PositiveThreshold = 0.5
+
   /** Predicted positive node ids (binary head), markers/punct excluded. */
-  def predictPositives(g: QTIG.Graph, enc: RGCN.EncodedGraph,
-                       params: RGCN.Params, threshold: Double = 0.5): Set[Int] = {
+  def predictPositives(g: QTIG.Graph, enc: RGCN.EncodedGraph, params: RGCN.Params): Set[Int] = {
     val probs = RGCN.predictProbs(enc, params)
     (2 until g.size).filter { i =>
-      probs(i)(1) > threshold && !Lang.isPunct(g.tokens(i))
+      probs(i)(1) > PositiveThreshold && !Lang.isPunct(g.tokens(i))
     }.toSet
   }
 
@@ -81,8 +82,8 @@ object GCTSPNet {
   }
 
   /** Full mining pass: classify nodes, decode order, emit the phrase. */
-  def minePhrase(g: QTIG.Graph, params: RGCN.Params, threshold: Double = 0.5): Seq[String] =
-    atspDecode(g, predictPositives(g, encode(g, _ => 0), params, threshold))
+  def minePhrase(g: QTIG.Graph, params: RGCN.Params): Seq[String] =
+    atspDecode(g, predictPositives(g, encode(g, _ => 0), params))
 
   /** 4-class element classification: token → predicted class id. */
   def classifyElements(g: QTIG.Graph, params: RGCN.Params): Map[String, Int] = {

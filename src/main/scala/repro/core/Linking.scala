@@ -34,10 +34,13 @@ object Linking {
       .select(col("node_id"), col("category"), (col("n_cat") / col("n_total")) as "p")
   }
 
-  def categoryEdges(nodeDocs: DataFrame, docs: DataFrame, deltaG: Double = 0.3,
+  /** δ_g: lowest P(g|p) of an attention–category isA edge (paper: 0.3). */
+  private val DeltaG = 0.3
+
+  def categoryEdges(nodeDocs: DataFrame, docs: DataFrame,
                     categoryId: String => Long): Seq[Edge] = {
     import org.apache.spark.sql.Row
-    categoryAffinity(nodeDocs, docs).where(col("p") > deltaG)
+    categoryAffinity(nodeDocs, docs).where(col("p") > DeltaG)
       .collect().toSeq.map { case Row(nodeId: Long, cat: String, _) =>
         Edge(nodeId, categoryId(cat), IsA, "attention-category")
       }
@@ -85,8 +88,8 @@ object Linking {
     *
     * @param coClickDocs   #concept-clicked docs mentioning the entity
     * @param totalDocs     #concept-clicked docs
-    * @param headNearCount #docs where the entity occurs within `window` of a
-    *                      concept head token
+    * @param headNearCount #docs where the entity occurs within `HeadWindow`
+    *                      tokens of a concept head token
     * @param sessionCount  #user sessions issuing concept then entity query
     */
   def pairFeatures(coClickDocs: Int, totalDocs: Int, headNearCount: Int,
@@ -96,19 +99,17 @@ object Linking {
     headNearCount.toDouble / math.max(1, totalDocs),
     math.log1p(sessionCount.toDouble))
 
-  val PairFeatureDim = 4
+  /** Largest token distance of an entity mention "near" a concept head. */
+  private val HeadWindow = 4
 
-  /** Does an entity mention start within `window` tokens of a concept head
+  /** Does an entity mention start within `HeadWindow` tokens of a concept head
     * token? Both sides are token positions in one doc body: `entityAt` are
     * the entity's starts from the body's [[repro.nlp.PhraseIndex]] match and
     * `headAt` the positions of the concept's head tokens, so no body is
     * rescanned per (concept, entity) pair.
     */
-  def headNear(entityAt: Seq[Int], headAt: Seq[Int], window: Int = 4): Boolean =
-    entityAt.exists(e => headAt.exists(h => math.abs(h - e) <= window))
-
-  /** Lowest classifier score of an isA entity–concept pair. */
-  private val IsAThreshold = 0.5
+  def headNear(entityAt: Seq[Int], headAt: Seq[Int]): Boolean =
+    entityAt.exists(e => headAt.exists(h => math.abs(h - e) <= HeadWindow))
 
   /** Train the concept–entity classifier from auto-constructed examples
     * (Fig. 4) and score candidate pairs.
@@ -118,9 +119,9 @@ object Linking {
     */
   def conceptEntityIsA(trainPairs: Seq[(Array[Double], Boolean)],
                        candidates: Seq[(Long, Long, Array[Double])]): Seq[Edge] = {
-    val model = LogReg.train(trainPairs, PairFeatureDim)
+    val model = LogReg.train(trainPairs)
     candidates.collect {
-      case (cid, eid, f) if model.predict(f, IsAThreshold) =>
+      case (cid, eid, f) if model.predict(f) =>
         Edge(eid, cid, IsA, "entity-concept")
     }
   }
@@ -166,12 +167,10 @@ object Linking {
       .groupBy("a", "b").agg(count(lit(1)) as "n")
   }
 
-  // Correlate edges: the fewest co-occurrences of a positive pair, the
-  // largest learned distance of an edge, and the embeddings' size and seed.
+  // Correlate edges: the fewest co-occurrences of a positive pair and the
+  // largest learned distance of an edge.
   private val CorrelateMinCount = 2L
   private val CorrelateMaxDist = 1.5
-  private val CorrelateDim = 16
-  private val CorrelateSeed = 17L
 
   /** Train embeddings on frequent co-occurring pairs and emit correlate
     * edges for candidates whose learned distance is at most
@@ -179,7 +178,7 @@ object Linking {
     */
   def correlateEdges(entityIds: Seq[Long], coPairs: Seq[(Long, Long, Long)]): Seq[Edge] = {
     val positives = coPairs.collect { case (a, b, n) if n >= CorrelateMinCount => (a, b) }
-    val model = Embeddings.train(entityIds, positives, dim = CorrelateDim, seed = CorrelateSeed)
+    val model = Embeddings.train(entityIds, positives)
     positives.collect {
       case (a, b) if model.distance(a, b) <= CorrelateMaxDist =>
         Seq(Edge(a, b, Correlate, "entity-entity"), Edge(b, a, Correlate, "entity-entity"))

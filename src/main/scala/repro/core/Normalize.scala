@@ -23,9 +23,15 @@ object Normalize {
                                  variants: Seq[Seq[String]], seeds: Seq[Long],
                                  docIds: Seq[Long], goldAttns: Seq[Long])
 
+  /** Clicked titles in a phrase's context representation. */
+  private val ContextTitles = 5
+
+  /** δ_m: lowest context TF-IDF cosine of two merged phrases. */
+  private val DeltaM = 0.3
+
   /** Context-enriched representation: the phrase + its top clicked titles. */
-  def contextRep(p: MinedPhrase, topTitles: Int = 5): Seq[String] =
-    p.tokens ++ p.contextTitles.take(topTitles).flatten
+  def contextRep(p: MinedPhrase): Seq[String] =
+    p.tokens ++ p.contextTitles.take(ContextTitles).flatten
 
   /** TF-IDF cosine between two bags given document frequencies. */
   def tfidfCosine(a: Seq[String], b: Seq[String], df: Map[String, Int], nDocs: Int): Double = {
@@ -46,11 +52,11 @@ object Normalize {
   /** Merge mined phrases into attention nodes.
     *
     * Phrases are bucketed by sorted non-stop token key, then greedily merged
-    * within a bucket when the context TF-IDF similarity exceeds `deltaM`.
-    * The representative phrase of a node is its most frequent variant.
+    * within a bucket when the context TF-IDF similarity reaches `DeltaM`.
+    * The representative phrase of a node is its most frequent variant; node
+    * ids are `idBase` + 1, 2, ….
     */
-  def normalize(mined: Seq[MinedPhrase], deltaM: Double = 0.3,
-                idBase: Long = 0L): Seq[AttentionNode] = {
+  def normalize(mined: Seq[MinedPhrase], idBase: Long): Seq[AttentionNode] = {
     val nonEmpty = mined.filter(_.tokens.nonEmpty)
     val reps = nonEmpty.map(p => p.seed -> contextRep(p)).toMap
     val nDocs = math.max(1, nonEmpty.size)
@@ -63,7 +69,7 @@ object Normalize {
       val groups = collection.mutable.ArrayBuffer[collection.mutable.ArrayBuffer[MinedPhrase]]()
       for (p <- ps.sortBy(_.seed)) {
         groups.find { g =>
-          tfidfCosine(reps(g.head.seed), reps(p.seed), df, nDocs) >= deltaM
+          tfidfCosine(reps(g.head.seed), reps(p.seed), df, nDocs) >= DeltaM
         } match {
           case Some(g) => g += p
           case None => groups += collection.mutable.ArrayBuffer(p)

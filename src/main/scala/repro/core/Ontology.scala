@@ -69,27 +69,34 @@ object GiantPipeline {
   def elementLabels(ex: MiningExample): String => Int =
     GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation)
 
-  /** One GCTSP-Net head's trainer input: the encoded QTIGs of `examples`. */
-  private def headOf(examples: Seq[MiningExample], labels: MiningExample => String => Int,
-                     classes: Int): RGCNTrainer.Head =
-    (examples.map(ex => GCTSPNet.encode(qtigOf(ex), labels(ex))), GCTSPNet.config(classes))
+  /** One GCTSP-Net head: the clusters it trains on, their per-token labels
+    * and its class count.
+    */
+  final case class Head(split: Datasets.Corpus => Seq[MiningExample],
+                        labels: MiningExample => String => Int, classes: Int)
 
-  /** Train one GCTSP-Net head on `examples` (Spark-distributed). */
-  def trainHead(spark: SparkSession, examples: Seq[MiningExample],
-                labels: MiningExample => String => Int, classes: Int,
-                epochs: Int): RGCN.Params =
-    RGCNTrainer.train(spark, Seq(headOf(examples, labels, classes)), epochs, HeadSeed).head
+  /** Concept miner (Table 5), event miner (Table 6) and key-element
+    * classifier (Table 7).
+    */
+  val ConceptHead: Head = Head(c => c.train(c.cmd), phraseLabels, 2)
+  val EventHead: Head = Head(c => c.train(c.emd), phraseLabels, 2)
+  val ElementHead: Head = Head(c => c.train(c.emd), elementLabels, GCTSPNet.ElementClasses)
 
-  /** Train the three GCTSP-Net heads on the train splits, in one Spark stage
-    * per epoch; each head is bitwise equal to [[trainHead]] of its split.
+  /** A head's trainer input: the encoded QTIGs of its split of `corpus`. */
+  private def input(corpus: Datasets.Corpus, head: Head): RGCNTrainer.Head =
+    (head.split(corpus).map(ex => GCTSPNet.encode(qtigOf(ex), head.labels(ex))),
+      GCTSPNet.config(head.classes))
+
+  /** Train one GCTSP-Net head on `corpus` (Spark-distributed). */
+  def trainHead(spark: SparkSession, corpus: Datasets.Corpus, head: Head, epochs: Int): RGCN.Params =
+    RGCNTrainer.train(spark, Seq(input(corpus, head)), epochs, HeadSeed).head
+
+  /** Train the three GCTSP-Net heads in one Spark stage per epoch; each is
+    * bitwise equal to its own [[trainHead]].
     */
   def trainModels(spark: SparkSession, corpus: Datasets.Corpus, epochs: Int): TrainedModels = {
-    val cmdTrain = corpus.train(corpus.cmd)
-    val emdTrain = corpus.train(corpus.emd)
-    val Seq(concept, event, element) = RGCNTrainer.train(spark, Seq(
-      headOf(cmdTrain, phraseLabels, 2),
-      headOf(emdTrain, phraseLabels, 2),
-      headOf(emdTrain, elementLabels, GCTSPNet.ElementClasses)), epochs, HeadSeed)
+    val Seq(concept, event, element) = RGCNTrainer.train(spark,
+      Seq(ConceptHead, EventHead, ElementHead).map(input(corpus, _)), epochs, HeadSeed)
     TrainedModels(concept, event, element)
   }
 
@@ -266,7 +273,7 @@ object GiantPipeline {
       topics.map { case (id, t) => id -> t.eventNodeIds.flatMap(eventDocIds.getOrElse(_, Seq.empty)) })
       .flatMap { case (id, ds) => ds.map(d => (id, d)) }
       .toDF("node_id", "doc_id")
-    val catEdges = Linking.categoryEdges(nodeDocsDf, log.docs, 0.3, categoryIdOf)
+    val catEdges = Linking.categoryEdges(nodeDocsDf, log.docs, categoryIdOf)
 
     val allConceptPairs = conceptNodes.map(n => (n.id, n.phrase)) ++
       suffixNodes.map(n => (n.id, n.phrase))

@@ -8,7 +8,7 @@ import scala.util.Random
   *
   * Turns the gold ontology from [[OntoGen]] into the inputs GIANT consumes:
   * queries, documents (title + body), click edges and user query sessions.
-  * Noise knobs mirror the messiness of real logs: stop-word query prefixes,
+  * Fixed noise rates mirror the messiness of real logs: stop-word query prefixes,
   * token reorderings, dropped modifiers, decorated titles with extra inserted
   * modifiers, cross-cluster noise clicks and mislabeled doc categories.
   *
@@ -29,10 +29,13 @@ object ClickLogGen {
                             queryRows: Vector[QueryRow], docRows: Vector[DocRow],
                             clickRows: Vector[ClickRow])
 
-  final case class Params(seed: Long = 7,
-                          noiseClickProb: Double = 0.3,
-                          categoryNoiseProb: Double = 0.1,
-                          entityQueryFrac: Double = 0.6)
+  final case class Params(seed: Long)
+
+  // Noise rates: cross-cluster noise clicks per attention query, mislabeled
+  // doc categories, and the entities that get an entity query.
+  private val NoiseClickProb = 0.3
+  private val CategoryNoiseProb = 0.1
+  private val EntityQueryFrac = 0.6
 
   /** Generate a query-text variant of a gold phrase.
     *
@@ -94,8 +97,7 @@ object ClickLogGen {
     } else pre ++ t ++ post
   }
 
-  def generate(spark: SparkSession, onto: OntoGen.GoldOntology,
-               p: Params = Params()): ClickLog = {
+  def generate(spark: SparkSession, onto: OntoGen.GoldOntology, p: Params): ClickLog = {
     val rng = new Random(p.seed)
     var qid = 0L
     var did = 0L
@@ -111,7 +113,7 @@ object ClickLogGen {
     val docsOfEntity = collection.mutable.Map[Long, Vector[Long]]().withDefaultValue(Vector.empty)
 
     def noiseCategory(cat: String): String =
-      if (rng.nextDouble() < p.categoryNoiseProb)
+      if (rng.nextDouble() < CategoryNoiseProb)
         Lang.Categories(rng.nextInt(Lang.Categories.size)).name
       else cat
 
@@ -180,7 +182,7 @@ object ClickLogGen {
     }
 
     // ---- entity queries + sessions (Fig. 4 raw material) ----
-    for (e <- onto.entities if rng.nextDouble() < p.entityQueryFrac) {
+    for (e <- onto.entities if rng.nextDouble() < EntityQueryFrac) {
       val mentioning = docsOfEntity(e.id)
       if (mentioning.nonEmpty) {
         qid += 1
@@ -200,7 +202,7 @@ object ClickLogGen {
     // ---- cross-cluster noise clicks ----
     val qRows = queries.result()
     val dRows = docs.result()
-    for (q <- qRows if q.kind == "attention" && rng.nextDouble() < p.noiseClickProb) {
+    for (q <- qRows if q.kind == "attention" && rng.nextDouble() < NoiseClickProb) {
       val d = dRows(rng.nextInt(dRows.size))
       if (d.gold_attn != q.gold_attn) clicks += ClickRow(q.query_id, d.doc_id, 1)
     }

@@ -73,9 +73,11 @@ object OntoGen {
     * @param nEvents          how many events (topics emerge from shared
     *                         (head, trigger) patterns)
     */
-  final case class Params(nDerivedConcepts: Int = 80, nEvents: Int = 40,
-                          minEntities: Int = 3, maxEntities: Int = 7,
-                          seed: Long = 42)
+  final case class Params(nDerivedConcepts: Int, nEvents: Int, seed: Long)
+
+  /** Entities per derived concept: uniform in [MinEntities, MaxEntities]. */
+  private val MinEntities = 3
+  private val MaxEntities = 7
 
   def generate(p: Params): GoldOntology = {
     val rng = new Random(p.seed)
@@ -123,7 +125,7 @@ object OntoGen {
     val entitiesByConcept = collection.mutable.Map[Long, Vector[Long]]().withDefaultValue(Vector.empty)
     val byHead = derivedConcepts.groupBy(c => (c.category, c.head))
     for (c <- derivedConcepts) {
-      val n = p.minEntities + rng.nextInt(p.maxEntities - p.minEntities + 1)
+      val n = MinEntities + rng.nextInt(MaxEntities - MinEntities + 1)
       for (_ <- 0 until n) {
         var name = Lang.entityName(rng)
         while (name.exists(usedTokens)) name = Lang.entityName(rng)

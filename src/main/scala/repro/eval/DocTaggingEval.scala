@@ -52,7 +52,7 @@ object DocTaggingEval {
     val perCat = collection.mutable.Map[String, (Int, Int)]().withDefaultValue((0, 0))
     for (d <- res.log.docRows) {
       val tags = DocTagging.tagConcepts(d.title, d.body, dictionary,
-        parentConcepts, conceptRep, df, nDocs, DocTagging.MinConceptScore)
+        parentConcepts, conceptRep, df, nDocs)
       if (tags.nonEmpty) {
         cTagged += 1
         val ok = conceptTagCorrect(tags.head._1, d.gold_attn)

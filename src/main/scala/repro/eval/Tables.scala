@@ -63,27 +63,15 @@ object Tables {
   // ------------------------------------------------------------------
   // Tables 5–7 score the GCTSP-Net heads of a pipeline run. The
   // `(spark, prep, s)` forms serve callers without a run: each trains only
-  // the head its table scores, as `GiantPipeline.trainModels` trains it.
+  // the head its table scores. Both forms share one scoring body.
   // ------------------------------------------------------------------
 
-  def conceptHead(spark: SparkSession, prep: Prepared, s: Scale): RGCN.Params =
-    GiantPipeline.trainHead(spark, prep.corpus.train(prep.corpus.cmd),
-      GiantPipeline.phraseLabels, 2, s.epochs)
-
-  def eventHead(spark: SparkSession, prep: Prepared, s: Scale): RGCN.Params =
-    GiantPipeline.trainHead(spark, prep.corpus.train(prep.corpus.emd),
-      GiantPipeline.phraseLabels, 2, s.epochs)
-
-  def elementHead(spark: SparkSession, prep: Prepared, s: Scale): RGCN.Params =
-    GiantPipeline.trainHead(spark, prep.corpus.train(prep.corpus.emd),
-      GiantPipeline.elementLabels, GCTSPNet.ElementClasses, s.epochs)
-
   def table5(spark: SparkSession, prep: Prepared, s: Scale): Seq[PhraseScore] =
-    table5(prep.corpus, conceptHead(spark, prep, s))
+    table5(prep.corpus, GiantPipeline.trainHead(spark, prep.corpus, GiantPipeline.ConceptHead, s.epochs))
   def table6(spark: SparkSession, prep: Prepared, s: Scale): Seq[PhraseScore] =
-    table6(prep.corpus, eventHead(spark, prep, s))
+    table6(prep.corpus, GiantPipeline.trainHead(spark, prep.corpus, GiantPipeline.EventHead, s.epochs))
   def table7(spark: SparkSession, prep: Prepared, s: Scale): Seq[ClassScore] =
-    table7(prep.corpus, elementHead(spark, prep, s))
+    table7(prep.corpus, GiantPipeline.trainHead(spark, prep.corpus, GiantPipeline.ElementHead, s.epochs))
 
   def table5(res: GiantPipeline.Result): Seq[PhraseScore] = table5(res.corpus, res.models.conceptMiner)
   def table6(res: GiantPipeline.Result): Seq[PhraseScore] = table6(res.corpus, res.models.eventMiner)
@@ -105,10 +93,8 @@ object Tables {
     crfT.train(train.flatMap(ex => ex.titles.map(t =>
       (t.tokens, bioLabels(t.tokens, ex.gold), Set.empty[String]))))
 
-    // Match patterns bootstrapped on the training corpus. Support 2: the
-    // stop-word filter keeps most heavy-prefix queries out of clusters, so
-    // pattern evidence is scarce (which is exactly why Match trails Align).
-    val patterns = MatchAlign.bootstrap(train.flatMap(_.queries.map(_.tokens)), minSupport = 2)
+    // Match patterns bootstrapped on the training corpus
+    val patterns = MatchAlign.bootstrap(train.flatMap(_.queries.map(_.tokens)))
 
     // Match tries every query of the cluster, highest weight first
     def matchAny(ex: MiningExample): Seq[String] =
@@ -311,7 +297,10 @@ object Tables {
   final case class ConceptShowcase(category: String, concept: String, instances: Seq[String])
   final case class EventShowcase(category: String, topic: String, events: Seq[String], entities: Seq[String])
 
-  def table3(res: GiantPipeline.Result, k: Int = 4): Seq[ConceptShowcase] = {
+  /** Rows of each showcase table. */
+  private val ShowcaseRows = 6
+
+  def table3(res: GiantPipeline.Result): Seq[ConceptShowcase] = {
     val nodeById = res.built.nodes.map(n => n.id -> n).toMap
     val catNameById = res.built.categoryIdOf.map(_.swap)
     val catOf = res.built.edges.filter(e => e.how == "attention-category")
@@ -320,19 +309,19 @@ object Tables {
       .groupBy(_.dst).view.mapValues(_.map(e => nodeById(e.src).phrase.mkString(" ")))
     res.built.conceptNodes
       .filter(n => catOf.contains(n.id) && instOf.getOrElse(n.id, Seq.empty).size >= 2)
-      .take(k)
+      .take(ShowcaseRows)
       .map(n => ConceptShowcase(catOf(n.id), n.phrase.mkString(" "),
         instOf(n.id).take(3).toSeq))
   }
 
-  def table4(res: GiantPipeline.Result, k: Int = 4): Seq[EventShowcase] = {
+  def table4(res: GiantPipeline.Result): Seq[EventShowcase] = {
     val nodeById = res.built.nodes.map(n => n.id -> n).toMap
     val catNameById = res.built.categoryIdOf.map(_.swap)
     val catOf = res.built.edges.filter(e => e.how == "attention-category")
       .groupBy(_.src).view.mapValues(es => catNameById(es.head.dst))
     val entsOf = res.built.edges.filter(_.how == "event-entity")
       .groupBy(_.src).view.mapValues(_.map(e => nodeById(e.dst).phrase.mkString(" ")))
-    res.built.topics.filter(_._2.eventNodeIds.size >= 2).take(k).map { case (tid, t) =>
+    res.built.topics.filter(_._2.eventNodeIds.size >= 2).take(ShowcaseRows).map { case (tid, t) =>
       val evPhrases = t.eventNodeIds.flatMap(nodeById.get).map(_.phrase.mkString(" "))
       val ents = t.eventNodeIds.flatMap(e => entsOf.getOrElse(e, Seq.empty)).distinct
       EventShowcase(catOf.getOrElse(tid, "-"), t.phrase.mkString(" "),

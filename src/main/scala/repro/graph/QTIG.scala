@@ -32,11 +32,9 @@ object QTIG {
     * @param edges  directed typed edges (src, dst, relationId)
     * @param texts  each input text as node-id sequences (queries first, then
     *               titles, both in descending weight) — kept for ATSP decoding
-    *               and baselines
-    * @param nQueries number of leading `texts` entries that are queries
     */
   final case class Graph(tokens: Vector[String], edges: Vector[(Int, Int, Int)],
-                         texts: Vector[Vector[Int]], nQueries: Int) {
+                         texts: Vector[Vector[Int]]) {
     def size: Int = tokens.size
     def nodeOf(token: String): Option[Int] = tokens.indexOf(token) match {
       case -1 => None; case i => Some(i)
@@ -64,21 +62,20 @@ object QTIG {
       }
     }
 
-    val all = queries.map(q => (q, true)) ++ titles.map(t => (t, false))
+    val all = queries ++ titles
     // pass 1: nodes + seq edges (sos/eos appended per Algorithm 2 line 3)
-    val withMarkers = all.map { case (x, isQ) => (Sos +: x :+ Eos, isQ) }
-    for ((x, _) <- withMarkers) {
-      val ids = x.map(nodeId).toVector
+    for (x <- all) {
+      val ids = (Sos +: x :+ Eos).map(nodeId).toVector
       texts += ids
       for (Seq(a, b) <- ids.sliding(2).toSeq) addEdge(a, b, "seq_f", "seq_b")
     }
     // pass 2: dependency edges (parse excludes the markers)
-    for ((x, _) <- all.map { case (t, q) => (t, q) }) {
+    for (x <- all) {
       val ids = x.map(nodeId).toVector
       for (DepParser.Dep(g, d, label) <- DepParser.parse(x))
         addEdge(ids(g), ids(d), s"${label}_f", s"${label}_b")
     }
-    Graph(nodeIdx.keys.toVector, edges.result(), texts.result(), queries.size)
+    Graph(nodeIdx.keys.toVector, edges.result(), texts.result())
   }
 
   /** The ATSP-decoding variant of the graph (Sec. 3.1, "Node Ordering"):

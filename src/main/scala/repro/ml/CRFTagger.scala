@@ -35,6 +35,12 @@ object TagFeatures {
   }
 }
 
+/** Training passes and data-shuffle seed of both taggers. */
+private[ml] object PerceptronWeights {
+  val Epochs = 8
+  val Seed = 11L
+}
+
 /** Averaged-perceptron emission weights: one score per (feature, label).
   * `updates` counts the training steps so far, starting at 1; [[bump]]
   * accumulates each change times the step it was made in, so that
@@ -94,9 +100,9 @@ final class CRFTagger(val numLabels: Int) extends Serializable {
   }
 
   /** Train on (tokens, gold labels, context) triples. */
-  def train(data: Seq[(Seq[String], Seq[Int], Set[String])], epochs: Int = 8, seed: Long = 11): Unit = {
-    val rng = new scala.util.Random(seed)
-    for (_ <- 0 until epochs; (tokens, gold, ctx) <- rng.shuffle(data)) {
+  def train(data: Seq[(Seq[String], Seq[Int], Set[String])]): Unit = {
+    val rng = new scala.util.Random(PerceptronWeights.Seed)
+    for (_ <- 0 until PerceptronWeights.Epochs; (tokens, gold, ctx) <- rng.shuffle(data)) {
       val feats = tokens.indices.map(i => TagFeatures.featurize(tokens, i, ctx))
       val pred = viterbi(feats)
       if (pred != gold) {
@@ -118,9 +124,10 @@ final class CRFTagger(val numLabels: Int) extends Serializable {
     for (y0 <- 0 to numLabels; y <- 0 until numLabels) trans(y0)(y) -= transSum(y0)(y) / t
   }
 
-  def predict(tokens: Seq[String], context: Set[String] = Set.empty): Seq[Int] = {
+  /** Tag one text without cluster context. */
+  def predict(tokens: Seq[String]): Seq[Int] = {
     if (tokens.isEmpty) return Seq.empty
-    viterbi(tokens.indices.map(i => TagFeatures.featurize(tokens, i, context)))
+    viterbi(tokens.indices.map(i => TagFeatures.featurize(tokens, i, Set.empty)))
   }
 }
 
@@ -129,9 +136,9 @@ final class SoftmaxTagger(val numLabels: Int) extends Serializable {
 
   private val w = new PerceptronWeights(numLabels)
 
-  def train(data: Seq[(Seq[String], Seq[Int], Set[String])], epochs: Int = 8, seed: Long = 11): Unit = {
-    val rng = new scala.util.Random(seed)
-    for (_ <- 0 until epochs; (tokens, gold, ctx) <- rng.shuffle(data); i <- tokens.indices) {
+  def train(data: Seq[(Seq[String], Seq[Int], Set[String])]): Unit = {
+    val rng = new scala.util.Random(PerceptronWeights.Seed)
+    for (_ <- 0 until PerceptronWeights.Epochs; (tokens, gold, ctx) <- rng.shuffle(data); i <- tokens.indices) {
       val feats = TagFeatures.featurize(tokens, i, ctx)
       val pred = (0 until numLabels).maxBy(w.score(feats, _))
       if (pred != gold(i)) {
@@ -142,9 +149,10 @@ final class SoftmaxTagger(val numLabels: Int) extends Serializable {
     w.average()
   }
 
-  def predict(tokens: Seq[String], context: Set[String] = Set.empty): Seq[Int] =
+  /** Tag one text without cluster context. */
+  def predict(tokens: Seq[String]): Seq[Int] =
     tokens.indices.map { i =>
-      val feats = TagFeatures.featurize(tokens, i, context)
+      val feats = TagFeatures.featurize(tokens, i, Set.empty)
       (0 until numLabels).maxBy(w.score(feats, _))
     }
 }

@@ -21,42 +21,50 @@ object Embeddings {
     }
   }
 
-  /** Train with hinge loss: pull positives within `marginPos`, push sampled
-    * negatives beyond `marginNeg` (squared-distance margins).
+  // Vector size, SGD epochs and step, the two squared-distance margins,
+  // sampled negatives per positive pair, and the seed.
+  private val Dim = 16
+  private val Epochs = 80
+  private val Lr = 0.05
+  private val MarginPos = 0.5
+  private val MarginNeg = 4.0
+  private val NegPerPos = 2
+  private val Seed = 17L
+
+  /** Train with hinge loss: pull positives within `MarginPos`, push sampled
+    * negatives beyond `MarginNeg` (squared-distance margins).
     */
-  def train(ids: Seq[Long], positives: Seq[(Long, Long)], dim: Int = 16,
-            epochs: Int = 80, lr: Double = 0.05, marginPos: Double = 0.5,
-            marginNeg: Double = 4.0, negPerPos: Int = 2, seed: Long = 17): Model = {
+  def train(ids: Seq[Long], positives: Seq[(Long, Long)]): Model = {
     require(ids.nonEmpty, "no entities to embed")
-    val rng = new Random(seed)
+    val rng = new Random(Seed)
     val idArr = ids.toArray
-    val vecs = ids.map(id => id -> Array.fill(dim)(rng.nextGaussian() * 0.5)).toMap
+    val vecs = ids.map(id => id -> Array.fill(Dim)(rng.nextGaussian() * 0.5)).toMap
 
     def sqDist(x: Array[Double], y: Array[Double]): Double = {
       var s = 0.0; var i = 0
-      while (i < dim) { val d = x(i) - y(i); s += d * d; i += 1 }
+      while (i < Dim) { val d = x(i) - y(i); s += d * d; i += 1 }
       s
     }
     def pull(x: Array[Double], y: Array[Double], sign: Double): Unit = {
       var i = 0
-      while (i < dim) {
-        val g = 2 * (x(i) - y(i)) * sign * lr
+      while (i < Dim) {
+        val g = 2 * (x(i) - y(i)) * sign * Lr
         x(i) -= g; y(i) += g
         i += 1
       }
     }
 
-    for (_ <- 0 until epochs; (a, b) <- positives) {
+    for (_ <- 0 until Epochs; (a, b) <- positives) {
       val (xa, xb) = (vecs(a), vecs(b))
-      if (sqDist(xa, xb) > marginPos) pull(xa, xb, 1.0)
-      for (_ <- 0 until negPerPos) {
+      if (sqDist(xa, xb) > MarginPos) pull(xa, xb, 1.0)
+      for (_ <- 0 until NegPerPos) {
         val c = idArr(rng.nextInt(idArr.length))
         if (c != a && c != b) {
           val xc = vecs(c)
-          if (sqDist(xa, xc) < marginNeg) pull(xa, xc, -1.0)
+          if (sqDist(xa, xc) < MarginNeg) pull(xa, xc, -1.0)
         }
       }
     }
-    Model(dim, vecs)
+    Model(Dim, vecs)
   }
 }

@@ -16,18 +16,28 @@ final class LogReg(val dim: Int) extends Serializable {
     1.0 / (1.0 + math.exp(-s))
   }
 
-  def predict(x: Array[Double], threshold: Double = 0.5): Boolean = score(x) > threshold
+  def predict(x: Array[Double]): Boolean = score(x) > LogReg.Threshold
 }
 
 object LogReg {
 
-  /** Full-batch gradient descent with L2; deterministic. */
-  def train(data: Seq[(Array[Double], Boolean)], dim: Int, epochs: Int = 300,
-            lr: Double = 0.5, l2: Double = 1e-4): LogReg = {
+  /** Lowest score of a positive prediction. */
+  private val Threshold = 0.5
+
+  // Full-batch gradient descent: epochs, step and L2 weight.
+  private val Epochs = 300
+  private val Lr = 0.5
+  private val L2 = 1e-4
+
+  /** Full-batch gradient descent with L2; deterministic. The feature count is
+    * that of the first example.
+    */
+  def train(data: Seq[(Array[Double], Boolean)]): LogReg = {
     require(data.nonEmpty, "empty training set")
+    val dim = data.head._1.length
     val m = new LogReg(dim)
     val n = data.size.toDouble
-    for (_ <- 0 until epochs) {
+    for (_ <- 0 until Epochs) {
       val gw = new Array[Double](dim)
       var gb = 0.0
       for ((x, y) <- data) {
@@ -37,8 +47,8 @@ object LogReg {
         gb += err
       }
       var i = 0
-      while (i < dim) { m.w(i) -= lr * (gw(i) / n + l2 * m.w(i)); i += 1 }
-      m.b -= lr * gb / n
+      while (i < dim) { m.w(i) -= Lr * (gw(i) / n + L2 * m.w(i)); i += 1 }
+      m.b -= Lr * gb / n
     }
     m
   }

@@ -30,11 +30,10 @@ object RGCN {
     * @param feats  node features, n × inDim (row per node)
     * @param rels   per relation id, flat edge pairs [v0, w0, v1, w1, …] where
     *               node v receives a message from node w
-    * @param labels per-node class id
-    * @param mask   nodes included in the loss
+    * @param labels per-node class id; every node is in the loss
     */
   final case class EncodedGraph(feats: Array[Array[Double]], rels: Array[Array[Int]],
-                                labels: Array[Int], mask: Array[Boolean]) extends Serializable {
+                                labels: Array[Int]) extends Serializable {
     def n: Int = feats.length
 
     /** Per relation, 1/c_{v,r} for every node v; 0 where v has no in-edges. */
@@ -229,7 +228,7 @@ object RGCN {
     }
   }
 
-  /** Mean masked cross-entropy loss and flat gradient for one graph. */
+  /** Mean cross-entropy loss over the nodes and flat gradient for one graph. */
   def lossAndGrad(g: EncodedGraph, params: Params): (Double, Array[Double]) = {
     val cfg = params.cfg
     val w = params.flat
@@ -240,18 +239,18 @@ object RGCN {
     val d = cfg.hidden
     val nb = cfg.bases
     val k = cfg.outClasses
-    val nMasked = math.max(1, g.mask.count(identity))
+    val nNodes = math.max(1, n)
 
     // softmax CE + dLogits
     var loss = 0.0
     val dLogits = new Array[Double](n * k)
     val prob = new Array[Double](k)
-    for (v <- 0 until n if g.mask(v)) {
+    for (v <- 0 until n) {
       val y = g.labels(v)
       val (logSum, m) = softmaxRow(fw.logits, v, k, prob)
-      loss += -(fw.logits(v * k + y) - m - logSum) / nMasked
+      loss += -(fw.logits(v * k + y) - m - logSum) / nNodes
       for (c <- 0 until k)
-        dLogits(v * k + c) = (prob(c) - (if (c == y) 1.0 else 0.0)) / nMasked
+        dLogits(v * k + c) = (prob(c) - (if (c == y) 1.0 else 0.0)) / nNodes
     }
 
     // output layer

@@ -4,19 +4,24 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class TextRankSpec extends AnyFunSuite {
 
+  // eight content tokens, so the top 5 keywords are a real selection
   private val texts = Seq(
     Seq("what", "are", "the", "famous", "crime", "series"),
     Seq("review", "famous", "crime", "series"),
-    Seq("famous", "classic", "crime", "series"))
+    Seq("famous", "classic", "crime", "series"),
+    Seq("guide", "ranking", "recap"))
 
   test("keywords favor frequently co-occurring content tokens") {
-    val kws = TextRank.keywords(texts, topK = 3)
-    assert(kws.toSet.intersect(Set("famous", "crime", "series")).size >= 2)
+    // keywords come highest score first, so the first three are the top 3
+    val kws = TextRank.keywords(texts)
+    assert(kws.size == 5)
+    assert(kws.take(3).toSet.intersect(Set("famous", "crime", "series")).size >= 2)
   }
 
   test("extract preserves first-appearance order") {
-    val p = TextRank.extract(texts, topK = 3)
+    val p = TextRank.extract(texts)
     val order = texts.flatten.distinct
+    assert(p.size == 5)
     assert(p == p.sortBy(order.indexOf))
   }
 
@@ -71,16 +76,18 @@ class MatchAlignSpec extends AnyFunSuite {
 
   test("bootstrapping learns new stop-prefix patterns") {
     // seed pattern discovers three concepts; the "which are the" prefix then
-    // reaches min support through those known concepts (pattern-concept duality)
+    // reaches the min support of 2 through those known concepts
+    // (pattern-concept duality), while "who are the", seen once, does not
     val queries = Seq(
       Seq("what", "are", "the", "famous", "runner"),
       Seq("what", "are", "the", "classic", "sitcom"),
       Seq("what", "are", "the", "luxury", "suv"),
       Seq("which", "are", "the", "famous", "runner"),
       Seq("which", "are", "the", "classic", "sitcom"),
-      Seq("which", "are", "the", "luxury", "suv"))
-    val pats = MatchAlign.bootstrap(queries, minSupport = 3)
+      Seq("who", "are", "the", "luxury", "suv"))
+    val pats = MatchAlign.bootstrap(queries)
     assert(pats.contains(Seq("which", "are", "the")))
+    assert(!pats.contains(Seq("who", "are", "the")))
   }
 
   test("alignOne finds the chunk containing query tokens in order") {
@@ -155,9 +162,11 @@ class TextSummaryLiteSpec extends AnyFunSuite {
 
   test("never repeats a token and respects maxLen") {
     val lm = TextSummaryLite.fit(Seq(Seq("a", "b", "a", "b", "a")))
-    val s = lm.summarize(maxLen = 10)
+    val s = lm.summarize()
     assert(s.distinct == s)
-    assert(s.size <= 10)
+    // a 20-token chain stops at the 12-token cap
+    val chain = (1 to 20).map(i => s"t$i")
+    assert(TextSummaryLite.fit(Seq(chain)).summarize() == chain.take(12))
   }
 
   test("empty corpus yields empty summary") {

@@ -26,7 +26,7 @@ class LinkingSpec extends SparkSpec {
   }
 
   test("categoryEdges thresholds at delta_g = 0.3") {
-    val edges = Linking.categoryEdges(nodeDocs, docs, 0.3,
+    val edges = Linking.categoryEdges(nodeDocs, docs,
       Map("cars" -> 1L, "travel" -> 2L, "music" -> 3L))
     assert(edges.toSet == Set(
       Linking.Edge(100L, 1L, Linking.IsA, "attention-category"),
@@ -56,15 +56,17 @@ class LinkingSpec extends SparkSpec {
 
   test("headNear detects entity near head tokens within the window") {
     val zorvex = PhraseIndex(Seq(7L -> Seq("zorvex")))
-    def near(body: Seq[String], head: String, window: Int = 4) =
+    def near(body: Seq[String], head: String) =
       Linking.headNear(zorvex.find(body).getOrElse(0, Seq.empty),
-        body.indices.filter(body(_) == head), window)
+        body.indices.filter(body(_) == head))
     val body = Seq("zorvex", "is", "famous", "runner", "guide")
-    assert(near(body, "runner", window = 4))
+    assert(near(body, "runner"))
     assert(!near(body, "sitcom"))
-    val far = Seq("zorvex") ++ Seq.fill(10)("guide") ++ Seq("runner")
-    assert(!near(far, "runner", window = 4))
-    assert(near(far, "runner", window = 11))
+    // the window is 4 tokens: the head 4 tokens away is near, 5 away is not
+    def gap(n: Int) = Seq("zorvex") ++ Seq.fill(n - 1)("guide") ++ Seq("runner")
+    assert(near(gap(4), "runner"))
+    assert(!near(gap(5), "runner"))
+    assert(!near(gap(11), "runner"))
   }
 
   test("conceptEntityIsA trains and classifies") {

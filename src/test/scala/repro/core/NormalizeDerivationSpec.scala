@@ -15,9 +15,11 @@ class NormalizeSpec extends AnyFunSuite {
                  isEvent: Boolean = false) =
     MinedPhrase(seed, tokens, isEvent, titles, Seq(seed * 10), seed * 100)
 
+  private def normalize(mined: Seq[MinedPhrase]) = Normalize.normalize(mined, idBase = 0L)
+
   test("identical phrases with shared context merge into one node") {
     val t = Seq(Seq("review", "famous", "runner"))
-    val nodes = Normalize.normalize(Seq(mp(1, Seq("famous", "runner"), t), mp(2, Seq("famous", "runner"), t)))
+    val nodes = normalize(Seq(mp(1, Seq("famous", "runner"), t), mp(2, Seq("famous", "runner"), t)))
     assert(nodes.size == 1)
     assert(nodes.head.seeds == Seq(1L, 2L))
     assert(nodes.head.goldAttns.toSet == Set(100L, 200L))
@@ -25,7 +27,7 @@ class NormalizeSpec extends AnyFunSuite {
 
   test("same token set in different order merges (non-stop set criterion)") {
     val t = Seq(Seq("famous", "runner", "review"))
-    val nodes = Normalize.normalize(Seq(
+    val nodes = normalize(Seq(
       mp(1, Seq("famous", "runner"), t), mp(2, Seq("runner", "famous"), t)))
     assert(nodes.size == 1)
     // representative phrase is the most frequent variant (tie → lexicographic)
@@ -33,28 +35,33 @@ class NormalizeSpec extends AnyFunSuite {
   }
 
   test("different token sets do not merge") {
-    val nodes = Normalize.normalize(Seq(
+    val nodes = normalize(Seq(
       mp(1, Seq("famous", "runner")), mp(2, Seq("classic", "runner"))))
     assert(nodes.size == 2)
   }
 
   test("same tokens with disjoint contexts stay separate (TF-IDF criterion)") {
-    val nodes = Normalize.normalize(Seq(
+    // disjoint titles: context cosine ≈ 0.25, below δ_m = 0.3
+    val nodes = normalize(Seq(
       mp(1, Seq("famous", "runner"), Seq(Seq("review", "marathon", "guide"))),
-      mp(2, Seq("famous", "runner"), Seq(Seq("ranking", "sitcom", "recap")))),
-      deltaM = 0.9)
+      mp(2, Seq("famous", "runner"), Seq(Seq("ranking", "sitcom", "recap")))))
     assert(nodes.size == 2)
+    // two of three title tokens shared: cosine ≈ 0.67, so they merge
+    val merged = normalize(Seq(
+      mp(1, Seq("famous", "runner"), Seq(Seq("review", "marathon", "guide"))),
+      mp(2, Seq("famous", "runner"), Seq(Seq("review", "marathon", "recap")))))
+    assert(merged.size == 1)
   }
 
   test("events and concepts never merge") {
-    val nodes = Normalize.normalize(Seq(
+    val nodes = normalize(Seq(
       mp(1, Seq("famous", "runner")), mp(2, Seq("famous", "runner"), isEvent = true)))
     assert(nodes.size == 2)
     assert(nodes.map(_.kind).toSet == Set("concept", "event"))
   }
 
   test("empty phrases are dropped") {
-    assert(Normalize.normalize(Seq(mp(1, Seq.empty))).isEmpty)
+    assert(normalize(Seq(mp(1, Seq.empty))).isEmpty)
   }
 
   test("node ids start above idBase and are unique") {
@@ -83,7 +90,7 @@ class NormalizeSpec extends AnyFunSuite {
     } yield (seeds.toSeq.zip(ps).map { case (s, (ts, titles, ev)) => mp(s, ts, titles, ev) }, shuffleSeed)
     val r = Check.check(Check.Parameters.default.withMinSuccessfulTests(300)
       .withInitialSeed(Seed(20200614L)), Prop.forAllNoShrink(inputs) { case (mined, shuffleSeed) =>
-        Normalize.normalize(mined) == Normalize.normalize(new scala.util.Random(shuffleSeed).shuffle(mined))
+        normalize(mined) == normalize(new scala.util.Random(shuffleSeed).shuffle(mined))
       })
     assert(r.passed, org.scalacheck.util.Pretty.pretty(r))
   }
@@ -107,7 +114,7 @@ class DerivationSpec extends SparkSpec {
       (1L, Seq("famous", "crime", "series")),
       (2L, Seq("classic", "crime", "series")),
       (3L, Seq("luxury", "suv"))).toDF("id", "phrase")
-    val out = Derivation.commonSuffixes(spark, df, minCount = 2).collect()
+    val out = Derivation.commonSuffixes(spark, df).collect()
       .map(r => r.getSeq[String](0) -> r.getLong(1)).toMap
     assert(out(Seq("crime", "series")) == 2)
     assert(out(Seq("series")) == 2)
@@ -118,7 +125,7 @@ class DerivationSpec extends SparkSpec {
     val df = Seq(
       (1L, Seq("famous", "runner")),
       (1L, Seq("famous", "runner"))).toDF("id", "phrase")
-    val out = Derivation.commonSuffixes(spark, df, minCount = 2).collect()
+    val out = Derivation.commonSuffixes(spark, df).collect()
     assert(out.isEmpty)
   }
 
@@ -196,6 +203,6 @@ class DerivationSpec extends SparkSpec {
   test("commonPatterns requires minimum support") {
     val events = Seq((10L, Seq("zorvexa", "retires")))
     val entityConcepts = Map(Seq("zorvexa") -> Seq(Seq("runner")))
-    assert(Derivation.commonPatterns(events, entityConcepts, minSupport = 2).isEmpty)
+    assert(Derivation.commonPatterns(events, entityConcepts).isEmpty)
   }
 }

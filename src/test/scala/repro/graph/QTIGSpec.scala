@@ -60,7 +60,8 @@ class QTIGSpec extends AnyFunSuite {
     val g = QTIG.build(queries, titles)
     assert(g.texts.size == 3)
     assert(g.texts.forall(t => t.head == 0 && t.last == 1))
-    assert(g.nQueries == 1)
+    // queries come first
+    assert(g.texts.head.map(g.tokens) == (QTIG.Sos +: queries.head :+ QTIG.Eos))
   }
 
   test("atspGraph connects sos to first positive and last positive to eos") {

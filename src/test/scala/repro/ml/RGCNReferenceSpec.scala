@@ -53,11 +53,10 @@ object RGCNReference {
     ex.map(_ / ex.sum)
   }
 
-  /** Mean masked cross-entropy (the mean divides by at least one node). */
+  /** Mean cross-entropy over all nodes (the mean divides by at least one node). */
   def loss(g: RGCN.EncodedGraph, p: RGCN.Params): Double = {
     val pr = probs(g, p)
-    val nMasked = math.max(1, g.mask.count(identity))
-    (0 until g.n).filter(g.mask).map(v => -math.log(pr(v)(g.labels(v)))).sum / nMasked
+    (0 until g.n).map(v => -math.log(pr(v)(g.labels(v)))).sum / math.max(1, g.n)
   }
 }
 
@@ -117,9 +116,8 @@ class RGCNReferenceSpec extends AnyFunSuite {
     feats <- Gen.listOfN(n, Gen.listOfN(cfg.inDim, unit).map(_.toArray))
     rels <- Gen.listOfN(cfg.relations, relation(n))
     labels <- Gen.listOfN(n, Gen.choose(0, cfg.outClasses - 1))
-    mask <- Gen.listOfN(n, Gen.oneOf(true, false))
     flat <- Gen.listOfN(cfg.nParams, unit)
-  } yield (RGCN.EncodedGraph(feats.toArray, rels.toArray, labels.toArray, mask.toArray),
+  } yield (RGCN.EncodedGraph(feats.toArray, rels.toArray, labels.toArray),
     new RGCN.Params(cfg, flat.toArray))
 
   test("property: kernel matches the direct Eq. 5-6 reference and central differences") {

@@ -12,7 +12,7 @@ class RGCNSpec extends AnyFunSuite {
     val r0 = (0 until n - 1).flatMap(i => Seq(i + 1, i)).toArray
     val r1 = (1 until n).flatMap(i => Seq(0, i)).toArray
     val labels = Array(0, 1, 0, 1, 0)
-    RGCN.EncodedGraph(feats, Array(r0, r1), labels, Array.fill(n)(true))
+    RGCN.EncodedGraph(feats, Array(r0, r1), labels)
   }
 
   private val cfg = RGCN.Config(inDim = 4, hidden = 6, layers = 3, relations = 2,
@@ -59,15 +59,6 @@ class RGCNSpec extends AnyFunSuite {
       assert(math.abs(num - grad(i)) < 1e-5,
         s"param $i: analytic ${grad(i)} vs numerical $num")
     }
-  }
-
-  test("masked nodes do not contribute to the loss") {
-    val g = tinyGraph()
-    val gm = g.copy(mask = Array(true, true, false, false, false),
-      labels = Array(0, 1, 1, 0, 1))
-    val gm2 = gm.copy(labels = Array(0, 1, 0, 1, 0)) // only masked-out labels differ
-    val p = RGCN.init(cfg, 2)
-    assert(RGCN.lossAndGrad(gm, p)._1 == RGCN.lossAndGrad(gm2, p)._1)
   }
 
   test("local training drives the loss down and fits a tiny graph") {

@@ -11,7 +11,7 @@ class RGCNTrainerSpec extends SparkSpec {
     val feats = Array.fill(n)(Array.fill(4)(rng.nextDouble()))
     val r0 = (0 until n - 1).flatMap(i => Seq(i + 1, i)).toArray
     val labels = Array.tabulate(n)(i => i % 2)
-    RGCN.EncodedGraph(feats, Array(r0), labels, Array.fill(n)(true))
+    RGCN.EncodedGraph(feats, Array(r0), labels)
   }
 
   private val cfg = RGCN.Config(inDim = 4, hidden = 5, layers = 2, relations = 1,
