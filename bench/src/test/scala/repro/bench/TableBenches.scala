@@ -2,6 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.core.Ontology
 import repro.eval.{DocTaggingEval, TablePrinter, Tables}
 
 /** Shared bench state: one data generation and one pipeline run for all
@@ -14,6 +15,24 @@ object BenchShared {
     Tables.tables1and2(spark, Tables.BenchScale)
 
   def print(lines: Seq[String]): Unit = lines.foreach(println)
+}
+
+/** The behaviour lock: a change that keeps behaviour keeps the BenchScale
+  * ontology digest and the Table 1/2 numbers exactly.
+  */
+class BehaviourLockBench extends AnyFunSuite {
+  test("BenchScale ontology digest and Table 1/2 numbers") {
+    val (res, report) = BenchShared.pipeline
+    val d = res.built.digest
+    BenchShared.print(Seq(s"ontology digest: nodes ${d.nodes} edges ${d.edges}"))
+    assert(d == Ontology.Digest("151516ce400ad7611367e977f0495be775aa1af60f9b228983fc5ab8890a266b",
+      "c2c2a20ddb43b6891a89194649f512e6b857f4c92729ad6f5856c5bc055505ba"))
+    assert(Seq("category", "concept", "topic", "event", "entity").map(report.nodeCounts) ==
+      Seq(12L, 760L, 108L, 380L, 3474L))
+    assert(report.edgeStats.map(s => f"${s.kind} ${s.count} ${s.accuracy}%.3f") ==
+      Seq("correlate 5398 1.000", "involve 1040 0.998", "isA 4424 0.975"))
+    assert(f"${report.conceptPhraseAccuracy}%.3f ${report.eventPhraseAccuracy}%.3f" == "0.987 0.989")
+  }
 }
 
 /** Table 1 — nodes in the attention ontology. Ours is a scaled-down corpus;

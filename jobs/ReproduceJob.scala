@@ -5,7 +5,8 @@ import repro.eval.{DocTaggingEval, TablePrinter, Tables}
 
 /** The paper's evaluation in one spark-submit job: run GIANT once, then print
   * Tables 1–7 and the Sec. 5.3 document-tagging numbers next to the paper's.
-  * Tables 5–7 score the run's own GCTSP-Net heads.
+  * Tables 5–7 score the run's own GCTSP-Net heads. The last line is the
+  * ontology's digest (`Ontology.Digest`).
   *
   * Usage: spark-submit --class repro.jobs.ReproduceJob <jar> [--bench]
   * The `--bench` flag switches from test scale to bench scale.
@@ -26,6 +27,8 @@ object ReproduceJob {
       TablePrinter.table5(Tables.table5(res)), TablePrinter.table6(Tables.table6(res)),
       TablePrinter.table7(Tables.table7(res)), TablePrinter.docTagging(DocTaggingEval.run(res)))
       .flatten.foreach(println)
+    val digest = res.built.digest
+    println(s"ontology digest: nodes ${digest.nodes} edges ${digest.edges}")
     spark.stop()
   }
 }

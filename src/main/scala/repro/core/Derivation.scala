@@ -36,7 +36,9 @@ object Derivation {
 
   /** CSD as a DataFrame aggregation: explode all proper suffixes of each
     * concept phrase, count distinct concepts per suffix, keep noun phrases
-    * with support ≥ `MinSuffixSupport`.
+    * with support ≥ `MinSuffixSupport`. The suffixes are repartitioned by
+    * `suffix` first, which already satisfies both aggregations that
+    * `countDistinct` plans, so the step shuffles once.
     *
     * @param concepts DataFrame with columns (id: Long, phrase: array<string>)
     * @return DataFrame (suffix: array<string>, support: long)
@@ -49,6 +51,7 @@ object Derivation {
     concepts
       .select(col("id"), explode(suffixesUdf(col("phrase"))) as "suffix")
       .where(npUdf(col("suffix")))
+      .repartition(col("suffix"))
       .groupBy("suffix").agg(countDistinct("id") as "support")
       .where(col("support") >= MinSuffixSupport)
   }

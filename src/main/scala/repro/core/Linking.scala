@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.ml.{Embeddings, LogReg}
 import repro.nlp.Lang
@@ -22,28 +23,36 @@ object Linking {
 
   /** P(g|p) per (attention node, category) from the clicked docs' categories.
     *
+    * The join's rows are repartitioned by `node_id`, so the per-(node,
+    * category) count and the per-node window total n_total need no further
+    * exchange: three exchanges in all (both join sides and the repartition).
+    * n_total is the exact `Long` sum of the counts, so p is the same
+    * `Long / Long` division as with a separate per-node count.
+    *
     * @param nodeDocs DataFrame (node_id: Long, doc_id: Long)
     * @param docs     DataFrame with (doc_id, category)
     * @return DataFrame (node_id, category, p)
     */
-  def categoryAffinity(nodeDocs: DataFrame, docs: DataFrame): DataFrame = {
-    val joined = nodeDocs.join(docs.select("doc_id", "category"), "doc_id")
-    val totals = joined.groupBy("node_id").agg(count(lit(1)) as "n_total")
-    joined.groupBy("node_id", "category").agg(count(lit(1)) as "n_cat")
-      .join(totals, "node_id")
-      .select(col("node_id"), col("category"), (col("n_cat") / col("n_total")) as "p")
-  }
+  def categoryAffinity(nodeDocs: DataFrame, docs: DataFrame): DataFrame =
+    nodeDocs.join(docs.select("doc_id", "category"), "doc_id")
+      .repartition(col("node_id"))
+      .groupBy("node_id", "category").agg(count(lit(1)) as "n_cat")
+      .select(col("node_id"), col("category"),
+        (col("n_cat") / sum("n_cat").over(Window.partitionBy("node_id"))) as "p")
 
   /** δ_g: lowest P(g|p) of an attention–category isA edge (paper: 0.3). */
   private val DeltaG = 0.3
 
+  /** Attention–category isA edges with P(g|p) > δ_g, sorted by (node id,
+    * category id) so that their order does not depend on the query plan.
+    */
   def categoryEdges(nodeDocs: DataFrame, docs: DataFrame,
                     categoryId: String => Long): Seq[Edge] = {
     import org.apache.spark.sql.Row
     categoryAffinity(nodeDocs, docs).where(col("p") > DeltaG)
       .collect().toSeq.map { case Row(nodeId: Long, cat: String, _) =>
         Edge(nodeId, categoryId(cat), IsA, "attention-category")
-      }
+      }.sortBy(e => (e.src, e.dst))
   }
 
   // ------------------------------------------------------------------

@@ -36,9 +36,22 @@ object Ontology {
                          categoryIdOf: Map[String, Long]) {
     def countByKind: Map[String, Long] =
       nodes.groupBy(_.kind).view.mapValues(_.size.toLong).toMap
-    def edgeCountByKind: Map[String, Long] =
-      edges.groupBy(_.kind).view.mapValues(_.size.toLong).toMap
+
+    /** The canonical digest of the ontology; independent of node and edge order. */
+    def digest: Digest = Digest(
+      sha256(nodes.map(n => s"${n.id}|${n.kind}|${n.phrase.mkString(" ")}")),
+      sha256(edges.map(e => s"${e.src}|${e.dst}|${e.kind}|${e.how}")))
   }
+
+  /** SHA-256 (hex) of the sorted `id|kind|phrase` node lines and of the
+    * sorted `src|dst|kind|how` edge lines, each line ended by a newline (a
+    * phrase's tokens are joined by spaces).
+    */
+  final case class Digest(nodes: String, edges: String)
+
+  private def sha256(lines: Seq[String]): String =
+    java.security.MessageDigest.getInstance("SHA-256")
+      .digest(lines.sorted.map(_ + "\n").mkString.getBytes("UTF-8")).map(b => f"$b%02x").mkString
 }
 
 /** End-to-end pipeline driver. */

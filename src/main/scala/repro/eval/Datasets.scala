@@ -22,7 +22,6 @@ object Datasets {
 
   final case class Corpus(cmd: Vector[MiningExample], emd: Vector[MiningExample]) {
     def train(xs: Vector[MiningExample]): Vector[MiningExample] = xs.filter(_.split == "train")
-    def dev(xs: Vector[MiningExample]): Vector[MiningExample] = xs.filter(_.split == "dev")
     def test(xs: Vector[MiningExample]): Vector[MiningExample] = xs.filter(_.split == "test")
   }
 

@@ -36,9 +36,6 @@ object QTIG {
   final case class Graph(tokens: Vector[String], edges: Vector[(Int, Int, Int)],
                          texts: Vector[Vector[Int]]) {
     def size: Int = tokens.size
-    def nodeOf(token: String): Option[Int] = tokens.indexOf(token) match {
-      case -1 => None; case i => Some(i)
-    }
   }
 
   /** Build the QTIG for one cluster (Algorithm 2). Texts must already be

@@ -22,6 +22,16 @@ import scala.util.Random
   * membership uses 2 classes; event key elements use 4). Gradients are exact
   * (verified by numerical gradient checks in tests) and flat, so training can
   * sum them across graphs.
+  *
+  * Bit contract (pinned by `RGCNSpec`): every output is a sum that starts at
+  * +0.0 and adds its terms in a fixed order. A `matmul` output (v, c) adds
+  * its terms over the input index i in ascending order; a weight-gradient
+  * entry adds over the nodes v in ascending order; an input-gradient entry
+  * adds over the output columns in ascending order. Skipping a zero term, or
+  * adding one, is exact only while every value is finite: a signed zero
+  * never changes a sum that starts at +0.0, but 0·∞ is NaN. No product is
+  * fused into its sum (`Math.fma` is never called, and the JVM never fuses
+  * on its own), so the vectorized loops round exactly as scalar ones.
   */
 object RGCN {
 
@@ -103,24 +113,60 @@ object RGCN {
     new Params(cfg, flat)
   }
 
+  /** y(yo + c) += Σ_k xs(k) · a(offs(k) + c) for every c < len, adding the m
+    * terms in order k = 0, 1, …, four per pass over the row.
+    */
+  private def addRows(y: Array[Double], yo: Int, len: Int, a: Array[Double],
+                      xs: Array[Double], offs: Array[Int], m: Int): Unit = {
+    var k = 0
+    while (k + 4 <= m) {
+      val x0 = xs(k); val x1 = xs(k + 1); val x2 = xs(k + 2); val x3 = xs(k + 3)
+      val a0 = offs(k); val a1 = offs(k + 1); val a2 = offs(k + 2); val a3 = offs(k + 3)
+      var c = 0
+      while (c < len) {
+        y(yo + c) = y(yo + c) + x0 * a(a0 + c) + x1 * a(a1 + c) + x2 * a(a2 + c) + x3 * a(a3 + c)
+        c += 1
+      }
+      k += 4
+    }
+    while (k < m) {
+      val x = xs(k); val ak = offs(k)
+      var c = 0
+      while (c < len) { y(yo + c) += x * a(ak + c); c += 1 }
+      k += 1
+    }
+  }
+
   /** out (n × cols, row-major) = h (n × di, row-major) · W, where W is di × cols
     * column-major at `w(off)`.
+    *
+    * Each output row is updated from the rows of a row-major copy of W, for
+    * the row's non-zero inputs only (one-hot layer-0 features, ReLU zeros),
+    * in ascending i (see the bit contract above).
     */
   private def matmul(h: Array[Double], n: Int, di: Int, w: Array[Double], off: Int,
                      cols: Int): Array[Double] = {
+    val wt = new Array[Double](di * cols)
+    var c = 0
+    while (c < cols) {
+      val wc = off + c * di
+      var i = 0
+      while (i < di) { wt(i * cols + c) = w(wc + i); i += 1 }
+      c += 1
+    }
     val out = new Array[Double](n * cols)
+    val xs = new Array[Double](di)
+    val offs = new Array[Int](di)
     var v = 0
     while (v < n) {
-      val hv = v * di
-      var c = 0
-      while (c < cols) {
-        val wc = off + c * di
-        var s = 0.0
-        var i = 0
-        while (i < di) { s += h(hv + i) * w(wc + i); i += 1 }
-        out(v * cols + c) = s
-        c += 1
+      var m = 0
+      var i = 0
+      while (i < di) {
+        val x = h(v * di + i)
+        if (x != 0.0) { xs(m) = x; offs(m) = i * cols; m += 1 }
+        i += 1
       }
+      addRows(out, v * cols, cols, wt, xs, offs, m)
       v += 1
     }
     out
@@ -128,27 +174,51 @@ object RGCN {
 
   /** Backward of [[matmul]]: gW += hᵀ dOut and, when `dh` is non-null,
     * dh += dOut Wᵀ.
+    *
+    * gW is built as row-major rows, each from the nodes with a non-zero
+    * input in ascending v, and then added into `gw`'s columns, which hold
+    * +0.0. Each dh row adds the columns of W with a non-zero dOut in
+    * ascending c (see the bit contract above).
     */
   private def matmulBack(h: Array[Double], n: Int, di: Int, w: Array[Double], gw: Array[Double],
                          off: Int, cols: Int, dOut: Array[Double], dh: Array[Double]): Unit = {
-    var v = 0
-    while (v < n) {
-      val hv = v * di
-      var c = 0
-      while (c < cols) {
-        val d = dOut(v * cols + c)
-        if (d != 0.0) {
-          val wc = off + c * di
-          var i = 0
-          while (i < di) { gw(wc + i) += h(hv + i) * d; i += 1 }
-          if (dh != null) {
-            i = 0
-            while (i < di) { dh(hv + i) += d * w(wc + i); i += 1 }
-          }
-        }
-        c += 1
+    val gt = new Array[Double](di * cols)
+    val xs = new Array[Double](n)
+    val offs = new Array[Int](n)
+    var i = 0
+    while (i < di) {
+      var m = 0
+      var v = 0
+      while (v < n) {
+        val x = h(v * di + i)
+        if (x != 0.0) { xs(m) = x; offs(m) = v * cols; m += 1 }
+        v += 1
       }
-      v += 1
+      addRows(gt, i * cols, cols, dOut, xs, offs, m)
+      i += 1
+    }
+    var c = 0
+    while (c < cols) {
+      val wc = off + c * di
+      i = 0
+      while (i < di) { gw(wc + i) += gt(i * cols + c); i += 1 }
+      c += 1
+    }
+    if (dh != null) {
+      val ds = new Array[Double](cols)
+      val wOffs = new Array[Int](cols)
+      var v = 0
+      while (v < n) {
+        var m = 0
+        c = 0
+        while (c < cols) {
+          val d = dOut(v * cols + c)
+          if (d != 0.0) { ds(m) = d; wOffs(m) = off + c * di; m += 1 }
+          c += 1
+        }
+        addRows(dh, v * di, di, w, ds, wOffs, m)
+        v += 1
+      }
     }
   }
 
@@ -230,10 +300,17 @@ object RGCN {
 
   /** Mean cross-entropy loss over the nodes and flat gradient for one graph. */
   def lossAndGrad(g: EncodedGraph, params: Params): (Double, Array[Double]) = {
+    val grad = new Array[Double](params.cfg.nParams)
+    (lossAndGradInto(g, params, grad), grad)
+  }
+
+  /** [[lossAndGrad]] with the gradient written into `grad`, which must hold
+    * +0.0 everywhere: every gradient entry is a sum that starts there.
+    */
+  private[ml] def lossAndGradInto(g: EncodedGraph, params: Params, grad: Array[Double]): Double = {
     val cfg = params.cfg
     val w = params.flat
     val lay = new Layout(cfg)
-    val grad = new Array[Double](cfg.nParams)
     val fw = forward(g, params, lay)
     val n = g.n
     val d = cfg.hidden
@@ -300,6 +377,6 @@ object RGCN {
       matmulBack(fw.inputs(l), n, di, w, grad, lay.weights(l), stride, dY, dHin)
       dH = dHin
     }
-    (loss, grad)
+    loss
   }
 }

@@ -105,10 +105,17 @@ object RGCNTrainer {
     for ((h, i) <- heads.zipWithIndex) require(h._1.nonEmpty, s"head $i has no training graphs")
   }
 
-  /** Summed gradient of `graphs`, in iteration order. */
+  /** Summed gradient of `graphs`, in iteration order. Each graph's gradient
+    * is computed into one reused buffer, zeroed per graph.
+    */
   private def gradSum(graphs: Iterator[RGCN.EncodedGraph], p: RGCN.Params): Array[Double] = {
     val grad = new Array[Double](p.cfg.nParams)
-    for (g <- graphs) addTo(grad, RGCN.lossAndGrad(g, p)._2)
+    val one = new Array[Double](p.cfg.nParams)
+    for (g <- graphs) {
+      java.util.Arrays.fill(one, 0.0)
+      RGCN.lossAndGradInto(g, p, one)
+      addTo(grad, one)
+    }
     grad
   }
 

@@ -133,8 +133,6 @@ object Lang {
 
   def isStop(token: String): Boolean = info(token).stop
   def isPunct(token: String): Boolean = info(token).pos == "PUNCT"
-  def posId(token: String): Int = PosTags.indexOf(info(token).pos)
-  def nerId(token: String): Int = NerTags.indexOf(info(token).ner)
 
   /** Non-stop, non-punctuation content tokens of a text. */
   def contentTokens(tokens: Seq[String]): Seq[String] =

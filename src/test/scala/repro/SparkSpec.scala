@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +17,34 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The number of Spark jobs that `body` starts. Listener events arrive in
+    * order, so once a marker job run after `body` is seen, every job of
+    * `body` has been counted.
+    */
+  def jobsOf(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val group = s"jobsOf-${java.util.UUID.randomUUID}"
+    val marker = s"$group-marker"
+    val started = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        started.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).getOrElse(""))
+    }
+    sc.addSparkListener(listener)
+    try {
+      def inGroup(id: String)(f: => Any): Unit = {
+        sc.setJobGroup(id, id)
+        try f finally sc.clearJobGroup()
+      }
+      inGroup(group)(body)
+      inGroup(marker)(sc.parallelize(Seq(1), 1).count())
+      val deadline = System.nanoTime() + 30e9.toLong
+      while (!started.contains(marker) && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(started.contains(marker), "marker job not seen")
+      started.toArray.count(_ == group)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

@@ -90,6 +90,25 @@ class MatchAlignSpec extends AnyFunSuite {
     assert(!pats.contains(Seq("who", "are", "the")))
   }
 
+  test("bootstrapping runs three rounds") {
+    // a chain: each round's new prefix extracts the two concepts that teach
+    // the next one, so "about the" is first learned in round 3 and
+    // "how is the" would be in round 4
+    def pair(prefix: String, a: String, b: String): Seq[Seq[String]] =
+      Seq(a, b).map(c => (prefix.split(" ") ++ c.split(" ")).toSeq)
+    val queries = pair("what are the", "famous runner", "classic sitcom") ++
+      pair("which are the", "famous runner", "classic sitcom") ++
+      pair("which are the", "luxury suv", "cheap phone") ++
+      pair("who are the", "luxury suv", "cheap phone") ++
+      pair("who are the", "rare coin", "modern opera") ++
+      pair("about the", "rare coin", "modern opera") ++
+      pair("about the", "vintage guitar", "iconic novel") ++
+      pair("how is the", "vintage guitar", "iconic novel")
+    val pats = MatchAlign.bootstrap(queries)
+    assert(pats.contains(Seq("about", "the")))
+    assert(!pats.contains(Seq("how", "is", "the")))
+  }
+
   test("alignOne finds the chunk containing query tokens in order") {
     val q = Seq("famous", "runner")
     val t = Seq("review", "famous", "classic", "runner", "zorvex")

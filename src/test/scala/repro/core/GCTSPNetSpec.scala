@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.TestSyntax._
 import repro.data.{ClickLogGen, OntoGen}
 import repro.eval.{Datasets, Metrics}
 import repro.graph.QTIG
@@ -50,7 +51,7 @@ class GCTSPNetSpec extends SparkSpec {
 
   test("binary miner learns concept extraction well above baseline (distributed)") {
     val train = corpus.train(corpus.cmd)
-    val test = corpus.test(corpus.cmd) ++ corpus.dev(corpus.cmd)
+    val test = corpus.test(corpus.cmd) ++ corpus.cmd.filter(_.split == "dev")
     assert(train.size > 30 && test.nonEmpty)
     val graphs = train.map(ex => GCTSPNet.encode(GiantPipeline.qtigOf(ex), GCTSPNet.binaryLabels(ex.gold)))
     val params = RGCNTrainer.train(spark, Seq(graphs -> GCTSPNet.config(2)), epochs = 40, seed = 13).head
@@ -65,7 +66,7 @@ class GCTSPNetSpec extends SparkSpec {
 
   test("element classifier learns the 4-class task (distributed)") {
     val train = corpus.train(corpus.emd)
-    val test = corpus.test(corpus.emd) ++ corpus.dev(corpus.emd)
+    val test = corpus.test(corpus.emd) ++ corpus.emd.filter(_.split == "dev")
     val graphs = train.map { ex =>
       GCTSPNet.encode(GiantPipeline.qtigOf(ex),
         GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation))

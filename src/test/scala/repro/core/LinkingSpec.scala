@@ -33,6 +33,19 @@ class LinkingSpec extends SparkSpec {
       Linking.Edge(200L, 3L, Linking.IsA, "attention-category")))
   }
 
+  test("categoryAffinity runs in at most 4 Spark jobs and entityCooccurrence in 3") {
+    // the join's two sides and one repartition by node_id
+    assert(jobsOf(Linking.categoryAffinity(nodeDocs, docs).collect()) <= 4)
+    val de = Seq((1L, 10L), (1L, 20L), (2L, 10L)).toDF("doc_id", "entity_id")
+    assert(jobsOf(Linking.entityCooccurrence(de).collect()) == 3)
+  }
+
+  test("categoryEdges are sorted by node and category id") {
+    val edges = Linking.categoryEdges(nodeDocs.union(Seq((50L, 1L), (50L, 5L)).toDF("node_id", "doc_id")),
+      docs, Map("cars" -> 2L, "travel" -> 3L, "music" -> 1L))
+    assert(edges.map(e => (e.src, e.dst)) == Seq((50L, 1L), (50L, 2L), (100L, 2L), (200L, 1L)))
+  }
+
   test("suffixIsA links phrase to its proper suffixes only") {
     val concepts = Seq(
       (1L, Seq("famous", "crime", "series")),

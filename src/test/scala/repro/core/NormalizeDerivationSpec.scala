@@ -129,6 +129,13 @@ class DerivationSpec extends SparkSpec {
     assert(out.isEmpty)
   }
 
+  test("commonSuffixes runs in at most 2 Spark jobs") {
+    // one shuffle, by suffix, serves both aggregations of countDistinct
+    val df = Seq((1L, Seq("famous", "crime", "series")), (2L, Seq("classic", "crime", "series")))
+      .toDF("id", "phrase")
+    assert(jobsOf(Derivation.commonSuffixes(spark, df).collect()) <= 2)
+  }
+
   test("commonSuffixes support counts match DuckDB") {
     // generated concept phrases, plus a repeated row and frequent suffixes
     // the noun-phrase filter must reject (stop word, entity, verb, bare ADJ)

@@ -28,9 +28,9 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("all three edge kinds are produced") {
-    val e = res.built.edgeCountByKind
+    val e = res.built.edges.groupBy(_.kind).view.mapValues(_.size).toMap
     for (k <- Seq("isA", "involve", "correlate"))
-      assert(e.getOrElse(k, 0L) > 0, s"missing $k edges: $e")
+      assert(e.getOrElse(k, 0) > 0, s"missing $k edges: $e")
   }
 
   test("mined concept nodes mostly recover gold phrases") {
@@ -75,6 +75,12 @@ class PipelineSpec extends SparkSpec {
       assert(ids.contains(e.src), s"dangling src in $e")
       assert(ids.contains(e.dst), s"dangling dst in $e")
     }
+  }
+
+  test("the ontology digest is locked at this scale") {
+    assert(res.built.digest == Ontology.Digest(
+      "8260fb1d45d5851df9655e1bf70e576c3e6e13185589409754b78c239c2046ec",
+      "43cb2c02fb3e441ed58fd308e8b70ab8cb67ed744d5579577e826ed28560a0ea"))
   }
 
   test("node ids are unique across kinds") {

@@ -3,6 +3,7 @@ package repro.graph
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestSyntax._
 import repro.nlp.Lang
 
 class QTIGSpec extends AnyFunSuite {

@@ -15,8 +15,21 @@ object RGCNReference {
 
   private type M = Array[Array[Double]]
 
-  private def mul(a: M, b: M): M =
-    Array.tabulate(a.length, b(0).length)((i, j) => b.indices.map(k => a(i)(k) * b(k)(j)).sum)
+  /** a · b; each entry sums over k in ascending order. */
+  private def mul(a: M, b: M): M = {
+    val out = Array.ofDim[Double](a.length, b(0).length)
+    for (i <- a.indices) {
+      val oi = out(i)
+      var k = 0
+      while (k < b.length) {
+        val x = a(i)(k); val bk = b(k)
+        var j = 0
+        while (j < oi.length) { oi(j) += x * bk(j); j += 1 }
+        k += 1
+      }
+    }
+    out
+  }
 
   private def add(a: M, b: M): M = Array.tabulate(a.length, a(0).length)((i, j) => a(i)(j) + b(i)(j))
 
@@ -35,7 +48,12 @@ object RGCNReference {
       val a = take(cfg.relations, cfg.bases)
       var z = mul(h, w0)
       for (r <- 0 until cfg.relations) {
-        val wr = Array.tabulate(di, dout)((i, j) => (0 until cfg.bases).map(b => a(r)(b) * vb(b)(i)(j)).sum)
+        val wr = Array.ofDim[Double](di, dout)
+        for (b <- 0 until cfg.bases; i <- 0 until di) {
+          val arb = a(r)(b); val vbi = vb(b)(i); val wi = wr(i)
+          var j = 0
+          while (j < dout) { wi(j) += arb * vbi(j); j += 1 }
+        }
         val pairs = g.rels(r).grouped(2).map(e => (e(0), e(1))).toSeq
         val deg = pairs.groupBy(_._1).view.mapValues(_.size).toMap
         val aHat = Array.ofDim[Double](n, n)

@@ -1,6 +1,8 @@
 package repro.ml
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.GCTSPNet
+import repro.graph.QTIG
 
 class RGCNSpec extends AnyFunSuite {
 
@@ -80,6 +82,35 @@ class RGCNSpec extends AnyFunSuite {
     val probs = RGCN.predictProbs(g, p)
     val preds = probs.map(r => r.zipWithIndex.maxBy(_._1)._2)
     assert(preds.toSeq == g.labels.toSeq)
+  }
+
+  test("lossAndGrad and predictProbs are pinned to the bit on encoded QTIGs") {
+    // SHA-256 of the raw bits at both GCTSP-Net shapes; any change to the
+    // kernel's arithmetic or summation order moves them
+    def sha(xs: Iterator[Double]): String = java.security.MessageDigest.getInstance("SHA-256")
+      .digest(xs.map(java.lang.Double.doubleToRawLongBits).mkString(",").getBytes("UTF-8"))
+      .map(b => f"$b%02x").mkString
+    val qtigs = Seq(
+      QTIG.build(Seq(Seq("what", "are", "the", "famous", "crime", "series"), Seq("crime", "series")),
+        Seq(Seq("review", "famous", "classic", "crime", "series"), Seq("crime", "series", "famous"))),
+      QTIG.build(Seq(Seq("zorvex", "wins", "award", "london", "2018")),
+        Seq(Seq("zorvex", "wins", "award", "in", "london", "|", "recap"), Seq("famous", "runner", "zorvex", "wins"))),
+      QTIG.build(Seq(Seq("luxury", "suv")), Seq(Seq("luxury", "suv", "guide"))))
+    val phrases = Seq(Seq("famous", "crime", "series"), Seq("zorvex", "wins", "award"), Seq("luxury", "suv"))
+    val element = GCTSPNet.elementLabels(Seq("zorvex"), Seq("wins", "award"), Some("london"))
+    /** (lossAndGrad, predictProbs) digests of the three graphs at `classes`. */
+    def digests(classes: Int, labels: Seq[String => Int]): (String, String) = {
+      val p = RGCN.init(GCTSPNet.config(classes), 13)
+      val gs = qtigs.zip(labels).map { case (q, l) => GCTSPNet.encode(q, l) }
+      (sha(gs.iterator.flatMap { g => val (loss, grad) = RGCN.lossAndGrad(g, p); Iterator(loss) ++ grad }),
+        sha(gs.iterator.flatMap(g => RGCN.predictProbs(g, p).iterator.flatten)))
+    }
+    val d2 = digests(2, phrases.map(GCTSPNet.binaryLabels))
+    val d4 = digests(GCTSPNet.ElementClasses, Seq.fill(3)(element))
+    assert(d2 == ("5d84952323a0dee68ebe9e01fc6ec0c6dff06104bb3dd0a82490ea702ba6a8d6",
+      "7adb73e7c1d566e7ef57802c5870977bae695a37a413143e918ec727724abb09"))
+    assert(d4 == ("7839569cf3089b452621ac4ace50f8a366e03e66cfc6c5aa8e8304e335a86f05",
+      "87c45c4f447c029ee93be0ee5cb75396344529c05c36a33529d3740bc8dab9a4"))
   }
 
   test("graphs with an empty relation are handled") {

@@ -1,6 +1,5 @@
 package repro.ml
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 
 class RGCNTrainerSpec extends SparkSpec {
@@ -93,29 +92,15 @@ class RGCNTrainerSpec extends SparkSpec {
     }
 
   test("a head with no graphs is rejected by index before any Spark job") {
-    val sc = spark.sparkContext
-    val started = new java.util.concurrent.ConcurrentLinkedQueue[String]
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        started.add(Option(e.properties).map(_.getProperty("spark.job.description")).orNull)
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobDescription("three heads, middle one empty")
-      val e = try intercept[IllegalArgumentException] {
+    var message = ""
+    val jobs = jobsOf {
+      message = intercept[IllegalArgumentException] {
         RGCNTrainer.train(spark, Seq(graphs(4, 2, 1) -> cfg, Seq.empty -> cfg,
           graphs(3, 3, 7) -> cfg.copy(outClasses = 3)), epochs = 2, seed = 1)
-      } finally sc.setJobDescription(null)
-      assert(e.getMessage.contains("head 1 "), e.getMessage)
-      // listener events arrive in order: once the marker job is seen, any
-      // job the failed call started would have been seen before it
-      sc.setJobDescription("marker")
-      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
-      val deadline = System.nanoTime() + 30e9.toLong
-      while (!started.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(started.contains("marker"))
-      assert(!started.contains("three heads, middle one empty"))
-    } finally sc.removeSparkListener(listener)
+      }.getMessage
+    }
+    assert(message.contains("head 1 "), message)
+    assert(jobs == 0)
   }
 
   test("three heads trained together are bitwise equal to each head trained alone") {

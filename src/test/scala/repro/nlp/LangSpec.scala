@@ -56,8 +56,8 @@ class LangSpec extends AnyFunSuite {
 
   test("pos and ner ids are valid indices") {
     for (t <- Seq("famous", "runner", "wins", "london", "2018", "what", "|")) {
-      assert(Lang.posId(t) >= 0 && Lang.posId(t) < Lang.PosTags.size)
-      assert(Lang.nerId(t) >= 0 && Lang.nerId(t) < Lang.NerTags.size)
+      assert(Lang.PosTags.contains(Lang.info(t).pos))
+      assert(Lang.NerTags.contains(Lang.info(t).ner))
     }
   }
 
