@@ -3,11 +3,13 @@ package repro.apps
 import repro.core.Normalize
 import repro.nlp.{Lang, PhraseIndex}
 
-/** Document tagging (Sec. 4, Eq. 12–14): tag a document with concepts it
-  * does not necessarily contain, via its key entities and their parent
-  * concepts; tag events/topics by longest-common-subsequence plus a semantic
-  * match (the paper's Duet matcher is replaced by token-vector cosine — see
-  * DESIGN.md substitutions).
+/** Document tagging (Sec. 4), the matching method: tag a document with
+  * concepts it does not necessarily contain, via its key entities and their
+  * parent concepts; tag events/topics by longest-common-subsequence plus a
+  * semantic match (the paper's Duet matcher is replaced by token-vector
+  * cosine — see DESIGN.md substitutions). The paper's probabilistic
+  * inference fallback (Eq. 12–14) is not implemented, so §5.3 scores the
+  * matching method only.
   *
   * Entity mentions come from one [[repro.nlp.PhraseIndex]] over the entity
   * dictionary: a body costs O(body length × longest name), not
@@ -59,43 +61,6 @@ object DocTagging {
                   conceptRep: Map[Long, Seq[String]],
                   df: Map[String, Int], nDocs: Int): Seq[(Long, Double)] =
     tagConcepts(title, body, PhraseIndex(dictionary), parentConcepts, conceptRep, df, nDocs)
-
-  /** Tokens each side of a mention: Eq. 13's "same sentence". */
-  private val ContextWindow = 5
-
-  /** Probabilistic inference fallback (Eq. 12–14) when the ontology has no
-    * parent concept for the key entities: infer concepts from the context
-    * words around each entity.
-    *
-    * @param concepts (conceptId, phrase)
-    */
-  def inferConcepts(body: Seq[String], dictionary: Seq[(Long, Seq[String])],
-                    concepts: Seq[(Long, Seq[String])]): Seq[(Long, Double)] = {
-    val index = PhraseIndex(dictionary)
-    val ents = keyEntities(body, index)
-    val mentions = index.find(body)
-    // an id's name and positions are those of its last dictionary entry
-    val entryOf = index.entries.indices.map(e => index.entries(e)._1 -> e).toMap
-    // P(c|x): uniform over concepts containing context token x (Eq. 14)
-    val conceptsOf: Map[String, Seq[Long]] =
-      concepts.flatMap { case (id, p) => p.map(_ -> id) }
-        .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-    val scores = collection.mutable.Map[Long, Double]().withDefaultValue(0.0)
-    for ((eid, pe) <- ents) {
-      val e = entryOf(eid)
-      val name = index.entries(e)._2
-      val positions = mentions.getOrElse(e, Seq.empty)
-      val ctx = positions.flatMap { i =>
-        body.slice(math.max(0, i - ContextWindow), math.min(body.size, i + name.size + ContextWindow))
-      }.filterNot(t => Lang.isStop(t) || Lang.isPunct(t) || name.contains(t))
-      if (ctx.nonEmpty) {
-        val pxe = ctx.groupBy(identity).view.mapValues(_.size.toDouble / ctx.size) // P(x|e)
-        for ((x, px) <- pxe; cs = conceptsOf.getOrElse(x, Seq.empty); c <- cs)
-          scores(c) += (1.0 / cs.size) * px * pe // Eq. 13–14 plugged into Eq. 12
-      }
-    }
-    scores.toSeq.filter(_._2 > 0).sortBy { case (id, s) => (-s, id) }
-  }
 
   /** Token-level longest common subsequence length. */
   def lcsLen(a: Seq[String], b: Seq[String]): Int = {

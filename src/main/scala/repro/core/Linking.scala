@@ -183,10 +183,12 @@ object Linking {
 
   /** Train embeddings on frequent co-occurring pairs and emit correlate
     * edges for candidates whose learned distance is at most
-    * `CorrelateMaxDist`.
+    * `CorrelateMaxDist`. The pairs are sorted by (a, b) first: embedding SGD
+    * consumes them in order, and [[entityCooccurrence]]'s row order depends
+    * on the shuffle partition count.
     */
   def correlateEdges(entityIds: Seq[Long], coPairs: Seq[(Long, Long, Long)]): Seq[Edge] = {
-    val positives = coPairs.collect { case (a, b, n) if n >= CorrelateMinCount => (a, b) }
+    val positives = coPairs.collect { case (a, b, n) if n >= CorrelateMinCount => (a, b) }.sorted
     val model = Embeddings.train(entityIds, positives)
     positives.collect {
       case (a, b) if model.distance(a, b) <= CorrelateMaxDist =>

@@ -300,11 +300,19 @@ object Tables {
   /** Rows of each showcase table. */
   private val ShowcaseRows = 6
 
+  /** What both showcases read of an ontology: its nodes by id, and each
+    * attention node's category name (that of its first attention-category
+    * edge).
+    */
+  private def showcaseIndex(built: Ontology.Built): (Map[Long, Ontology.Node], collection.MapView[Long, String]) = {
+    val catNameById = built.categoryIdOf.map(_.swap)
+    (built.nodes.map(n => n.id -> n).toMap,
+      built.edges.filter(_.how == "attention-category")
+        .groupBy(_.src).view.mapValues(es => catNameById(es.head.dst)))
+  }
+
   def table3(res: GiantPipeline.Result): Seq[ConceptShowcase] = {
-    val nodeById = res.built.nodes.map(n => n.id -> n).toMap
-    val catNameById = res.built.categoryIdOf.map(_.swap)
-    val catOf = res.built.edges.filter(e => e.how == "attention-category")
-      .groupBy(_.src).view.mapValues(es => catNameById(es.head.dst))
+    val (nodeById, catOf) = showcaseIndex(res.built)
     val instOf = res.built.edges.filter(_.how == "entity-concept")
       .groupBy(_.dst).view.mapValues(_.map(e => nodeById(e.src).phrase.mkString(" ")))
     res.built.conceptNodes
@@ -315,10 +323,7 @@ object Tables {
   }
 
   def table4(res: GiantPipeline.Result): Seq[EventShowcase] = {
-    val nodeById = res.built.nodes.map(n => n.id -> n).toMap
-    val catNameById = res.built.categoryIdOf.map(_.swap)
-    val catOf = res.built.edges.filter(e => e.how == "attention-category")
-      .groupBy(_.src).view.mapValues(es => catNameById(es.head.dst))
+    val (nodeById, catOf) = showcaseIndex(res.built)
     val entsOf = res.built.edges.filter(_.how == "event-entity")
       .groupBy(_.src).view.mapValues(_.map(e => nodeById(e.dst).phrase.mkString(" ")))
     res.built.topics.filter(_._2.eventNodeIds.size >= 2).take(ShowcaseRows).map { case (tid, t) =>

@@ -2,27 +2,24 @@ package repro.ml
 
 import org.apache.spark.sql.SparkSession
 
-/** Full-batch Adam training for [[RGCN]] heads, on Spark or on the driver
-  * alone.
+/** Full-batch Adam training for [[RGCN]] heads on Spark.
   *
   * A call trains one or more independent heads, each a `(graphs, config)`
   * pair, for the same number of epochs from the same seed. Each epoch computes
   * every head's exact mean loss gradient over its graphs and applies a
   * separate Adam step per head on the driver — the Spark-native analogue of
-  * the paper's GPU training loop. Both entry points run the same loop and
-  * differ only in where the gradient sums come from.
+  * the paper's GPU training loop.
   *
-  * On Spark the graphs are broadcast once per call and each epoch is one
-  * stage over `P` partition ids, one per partition, that serves every head.
+  * The graphs are broadcast once per call and each epoch is one stage over
+  * `Chunks` (4) chunk ids, one task per chunk, that serves every head.
   *
-  * Summation order: partition p sums head h's graphs `[p·n_h/P, (p+1)·n_h/P)`
-  * (the slices `parallelize(graphs, P)` would make) in input order, starting
-  * from zero, and the driver adds each head's partition sums in partition
-  * order. A head's result depends only on its graphs, their order and `P` —
-  * never on task timing or on the other heads — so two runs give
-  * bitwise-identical parameters and a head trained with others equals the
-  * head trained alone. With one partition the sum is exactly the driver-local
-  * one; other partition counts differ from it only by float rounding.
+  * Summation order: chunk k sums head h's graphs `[k·n_h/4, (k+1)·n_h/4)` in
+  * input order, starting from zero, and the driver adds each head's four
+  * chunk sums in chunk order, again starting from zero. A head's result
+  * depends only on its graphs, their order and the seed — never on the core
+  * count, on task timing or on the other heads — so two runs give
+  * bitwise-identical parameters on any master and a head trained with others
+  * equals the head trained alone.
   */
 object RGCNTrainer {
 
@@ -35,6 +32,11 @@ object RGCNTrainer {
   private val Beta2 = 0.999
   private val Eps = 1e-8
   private val WeightDecay = 1e-5
+
+  // Chunks of every head's gradient sum: the summation order, and the tasks
+  // of an epoch. A constant `final val` is inlined, so the task closure does
+  // not capture this object.
+  private final val Chunks = 4
 
   /** Adam state over a flat parameter vector. */
   private final class Adam(n: Int) {
@@ -56,42 +58,27 @@ object RGCNTrainer {
     }
   }
 
-  /** Distributed training of `heads` over `defaultParallelism` partitions;
-    * returns their parameters in input order.
+  /** Train `heads`; returns their parameters in input order. Each epoch
+    * broadcasts every head's parameters, runs one stage and collects each
+    * chunk's per-head sums.
     */
-  def train(spark: SparkSession, heads: Seq[Head], epochs: Int, seed: Long): Seq[RGCN.Params] =
-    trainPartitioned(spark, heads, epochs, seed, spark.sparkContext.defaultParallelism)
-
-  /** Driver-local training of one head over a small in-memory graph collection. */
-  def trainLocal(graphs: Seq[RGCN.EncodedGraph], cfg: RGCN.Config,
-                 epochs: Int, seed: Long): RGCN.Params = {
-    val heads = Seq(graphs -> cfg)
-    requireGraphs(heads)
-    loop(heads, epochs, seed)(flats => Seq(gradSum(graphs.iterator, new RGCN.Params(cfg, flats.head)))).head
-  }
-
-  /** [[train]] over an explicit number of partitions. The graphs are
-    * broadcast once; each epoch broadcasts every head's parameters, runs one
-    * stage and collects each partition's per-head sums.
-    */
-  private[ml] def trainPartitioned(spark: SparkSession, heads: Seq[Head], epochs: Int,
-                                   seed: Long, partitions: Int): Seq[RGCN.Params] = {
+  def train(spark: SparkSession, heads: Seq[Head], epochs: Int, seed: Long): Seq[RGCN.Params] = {
     requireGraphs(heads)
     val sc = spark.sparkContext
     val cfgs = heads.map(_._2)
     val graphs = sc.broadcast(heads.map(_._1.toArray))
     try loop(heads, epochs, seed) { flats =>
       val params = sc.broadcast(flats.map(_.clone()))
-      val parts = try sc.parallelize(0 until partitions, partitions).map { p =>
+      val chunks = try sc.parallelize(0 until Chunks, Chunks).map { k =>
         graphs.value.zip(params.value).zip(cfgs).map { case ((gs, flat), cfg) =>
-          val from = (p.toLong * gs.length / partitions).toInt
-          val until = ((p + 1).toLong * gs.length / partitions).toInt
+          val from = (k.toLong * gs.length / Chunks).toInt
+          val until = ((k + 1).toLong * gs.length / Chunks).toInt
           gradSum(gs.iterator.slice(from, until), new RGCN.Params(cfg, flat))
         }
       }.collect() finally params.destroy()
       cfgs.indices.map { h =>
         val grad = new Array[Double](cfgs(h).nParams)
-        parts.foreach(part => addTo(grad, part(h)))
+        chunks.foreach(chunk => addTo(grad, chunk(h)))
         grad
       }
     } finally graphs.destroy()
@@ -127,8 +114,8 @@ object RGCNTrainer {
   /** The Adam loop: `gradOf` maps every head's current parameters to its
     * summed gradient over all of the head's graphs.
     */
-  private def loop(heads: Seq[Head], epochs: Int, seed: Long)
-                  (gradOf: Seq[Array[Double]] => Seq[Array[Double]]): Seq[RGCN.Params] = {
+  private[ml] def loop(heads: Seq[Head], epochs: Int, seed: Long)
+                      (gradOf: Seq[Array[Double]] => Seq[Array[Double]]): Seq[RGCN.Params] = {
     val params = heads.map(h => RGCN.init(h._2, seed))
     val adams = heads.map(h => new Adam(h._2.nParams))
     for (_ <- 1 to epochs) {

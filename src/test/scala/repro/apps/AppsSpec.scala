@@ -45,15 +45,6 @@ class DocTaggingSpec extends AnyFunSuite {
     assert(tags.isEmpty)
   }
 
-  test("inferConcepts falls back to context words (Eq. 12-14)") {
-    val body = Seq("zorvex", "famous", "runner", "overview")
-    val tags = DocTagging.inferConcepts(body, dict,
-      concepts = Seq((100L, Seq("famous", "runner")), (200L, Seq("luxury", "suv"))))
-    assert(tags.nonEmpty)
-    assert(tags.head._1 == 100L)
-    assert(!tags.exists(_._1 == 200L))
-  }
-
   test("lcsLen computes token-level LCS") {
     assert(DocTagging.lcsLen(Seq("a", "b", "c"), Seq("a", "x", "b", "c")) == 3)
     assert(DocTagging.lcsLen(Seq("a"), Seq("b")) == 0)

@@ -117,6 +117,16 @@ class LinkingSpec extends SparkSpec {
     assert(edges.forall(_.kind == Linking.Correlate))
   }
 
+  test("correlateEdges do not depend on the order of the co-occurrence rows") {
+    val ids = (1L to 20L).toSeq
+    val rng = new scala.util.Random(5)
+    val co = for (a <- 1L to 19L; b <- a + 1 to 20L if rng.nextDouble() < 0.15)
+      yield (a, b, 1L + rng.nextInt(4))
+    val edges = Linking.correlateEdges(ids, co)
+    assert(edges.nonEmpty)
+    for (s <- 1 to 3) assert(Linking.correlateEdges(ids, new scala.util.Random(s).shuffle(co)) == edges)
+  }
+
   test("eventInvolve emits entity, trigger and location edges") {
     val elements = Map("zorvex" -> GCTSPNet.ClsEntity, "explodes" -> GCTSPNet.ClsTrigger,
       "moscow" -> GCTSPNet.ClsLocation, "2018" -> GCTSPNet.ClsOther)

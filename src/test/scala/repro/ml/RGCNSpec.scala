@@ -67,7 +67,7 @@ class RGCNSpec extends AnyFunSuite {
     val g = tinyGraph()
     val p0 = RGCN.init(cfg, 11)
     val (l0, _) = RGCN.lossAndGrad(g, p0)
-    val p = RGCNTrainer.trainLocal(Seq(g), cfg, epochs = 150, seed = 11)
+    val p = RGCNTrainerSpec.reference(Seq(Seq(g) -> cfg), epochs = 150, seed = 11).head
     val (l1, _) = RGCN.lossAndGrad(g, p)
     assert(l1 < l0 / 2, s"loss did not drop: $l0 -> $l1")
     val probs = RGCN.predictProbs(g, p)
@@ -78,7 +78,7 @@ class RGCNSpec extends AnyFunSuite {
   test("4-class head works") {
     val cfg4 = cfg.copy(outClasses = 4)
     val g = tinyGraph().copy(labels = Array(0, 1, 2, 3, 0))
-    val p = RGCNTrainer.trainLocal(Seq(g), cfg4, epochs = 200, seed = 3)
+    val p = RGCNTrainerSpec.reference(Seq(Seq(g) -> cfg4), epochs = 200, seed = 3).head
     val probs = RGCN.predictProbs(g, p)
     val preds = probs.map(r => r.zipWithIndex.maxBy(_._1)._2)
     assert(preds.toSeq == g.labels.toSeq)

@@ -1,8 +1,29 @@
 package repro.ml
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 
+object RGCNTrainerSpec {
+
+  /** [[RGCNTrainer.train]] without Spark: the same loop, with each head's
+    * gradient summed on the driver in the trainer's chunk order. Chunk k of n
+    * graphs sums graphs `[k·n/4, (k+1)·n/4)` from zero, and the head's
+    * gradient adds the four chunk sums to zero in chunk order.
+    */
+  def reference(heads: Seq[RGCNTrainer.Head], epochs: Int, seed: Long): Seq[RGCN.Params] =
+    RGCNTrainer.loop(heads, epochs, seed)(_.zip(heads).map { case (flat, (gs, cfg)) =>
+      val p = new RGCN.Params(cfg, flat)
+      def sum(xs: Seq[Array[Double]]) = xs.foldLeft(new Array[Double](cfg.nParams)) { (acc, x) =>
+        for (i <- acc.indices) acc(i) += x(i)
+        acc
+      }
+      sum((0 until 4).map(k => sum(gs.slice(k * gs.size / 4, (k + 1) * gs.size / 4).map(RGCN.lossAndGrad(_, p)._2))))
+    })
+}
+
 class RGCNTrainerSpec extends SparkSpec {
+  import RGCNTrainerSpec.reference
 
   private def graph(seed: Int): RGCN.EncodedGraph = {
     val rng = new scala.util.Random(seed)
@@ -18,59 +39,64 @@ class RGCNTrainerSpec extends SparkSpec {
 
   private def bits(p: RGCN.Params): Seq[Long] = p.flat.map(java.lang.Double.doubleToRawLongBits).toSeq
 
-  /** One head trained on Spark over `parts` partitions. */
-  private def trainOn(parts: Int, graphs: Seq[RGCN.EncodedGraph], cfg: RGCN.Config,
-                      epochs: Int, seed: Long): RGCN.Params =
-    RGCNTrainer.trainPartitioned(spark, Seq(graphs -> cfg), epochs, seed, parts).head
+  /** One head trained on Spark. */
+  private def trainOne(graphs: Seq[RGCN.EncodedGraph], cfg: RGCN.Config,
+                       epochs: Int, seed: Long): RGCN.Params =
+    RGCNTrainer.train(spark, Seq(graphs -> cfg), epochs, seed).head
 
-  test("distributed training equals local training (same full-batch gradient)") {
-    val graphs = (1 to 8).map(graph)
-    val local = RGCNTrainer.trainLocal(graphs, cfg, epochs = 5, seed = 3)
-    for (parts <- Seq(1, 3, 8)) {
-      val dist = trainOn(parts, graphs, cfg, epochs = 5, seed = 3)
-      val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
-      assert(maxDiff < 1e-9, s"$parts partitions: parameter divergence $maxDiff")
-      // one partition sums in exactly the local order
-      if (parts == 1) assert(dist.flat.toSeq == local.flat.toSeq)
+  /** Graphs for a head of `classes` output classes. */
+  private def graphs(n: Int, classes: Int, from: Int): Seq[RGCN.EncodedGraph] =
+    (from until from + n).map { s =>
+      val g = graph(s)
+      g.copy(labels = g.labels.indices.map(i => (i + s) % classes).toArray)
     }
-    val dist = RGCNTrainer.train(spark, Seq(graphs -> cfg), epochs = 5, seed = 3).head
-    val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
-    assert(maxDiff < 1e-9, s"parameter divergence $maxDiff")
+
+  test("property: train equals the driver-side chunk sum bitwise for 1-12 graphs") {
+    // counts below 4 leave chunks empty
+    val seen = collection.mutable.Set[Int]()
+    val cases = for {
+      n <- Gen.choose(1, 12)
+      classes <- Gen.oneOf(2, 3)
+      from <- Gen.choose(0, 10000)
+      seed <- Gen.choose(0L, 1000L)
+    } yield (n, classes, from, seed)
+    val r = Check.check(Check.Parameters.default.withMinSuccessfulTests(30)
+      .withInitialSeed(Seed(20200614L)), Prop.forAllNoShrink(cases) { case (n, classes, from, seed) =>
+      seen += n
+      val head = Seq(graphs(n, classes, from) -> cfg.copy(outClasses = classes))
+      bits(RGCNTrainer.train(spark, head, epochs = 2, seed).head) == bits(reference(head, epochs = 2, seed).head)
+    })
+    assert(r.passed, org.scalacheck.util.Pretty.pretty(r))
+    assert(seen == (1 to 12).toSet, s"graph counts checked: ${seen.toSeq.sorted}")
   }
 
   test("two distributed runs on the same input give bitwise-identical parameters") {
     val graphs = (1 to 11).map(graph)
-    def run(parts: Int) = bits(trainOn(parts, graphs, cfg, epochs = 4, seed = 7))
-    for (parts <- Seq(3, 8)) assert(run(parts) == run(parts), s"$parts partitions")
-    def runDefault = bits(RGCNTrainer.train(spark, Seq(graphs -> cfg), epochs = 4, seed = 7).head)
-    assert(runDefault == runDefault)
+    def run = bits(trainOne(graphs, cfg, epochs = 4, seed = 7))
+    assert(run == run)
   }
 
-  test("trained parameters are pinned to the bit (local and 3 partitions)") {
-    // SHA-256 of the raw bits; any change to the loop, Adam or its constants
-    // moves them
+  test("trained parameters are pinned to the bit") {
+    // SHA-256 of the raw bits; any change to the loop, Adam, its constants or
+    // the chunk order moves it, and so does a core-count-dependent sum
     def digest(p: RGCN.Params): String = java.security.MessageDigest.getInstance("SHA-256")
       .digest(bits(p).mkString(",").getBytes("UTF-8")).map(b => f"$b%02x").mkString
-    val graphs = (1 to 8).map(graph)
-    assert(digest(RGCNTrainer.trainLocal(graphs, cfg, epochs = 5, seed = 3)) ==
-      "625b918d38ddfd96c70c5182cc3b29f6654e2d1fc56687b300118a0e7f51980c")
-    assert(digest(trainOn(3, graphs, cfg, epochs = 5, seed = 3)) ==
-      "ef675fa3cbfd170b35ad857f39122dbfdc2222b68f89c82eb2a65c3b2afd726d")
+    assert(digest(trainOne((1 to 8).map(graph), cfg, epochs = 5, seed = 3)) ==
+      "0fbe8823276516283e5144376426d0eec1111c1ea8725919ccfdf9fd2ca49c61")
   }
 
   test("training reduces the aggregate loss") {
     val graphs = (1 to 6).map(graph)
     val p0 = RGCN.init(cfg, 5)
     val before = graphs.map(g => RGCN.lossAndGrad(g, p0)._1).sum
-    val p = RGCNTrainer.trainLocal(graphs, cfg, epochs = 60, seed = 5)
+    val p = reference(Seq(graphs -> cfg), epochs = 60, seed = 5).head
     val after = graphs.map(g => RGCN.lossAndGrad(g, p)._1).sum
     assert(after < before * 0.8, s"$before -> $after")
   }
 
   test("Adam step actually moves every parameter with nonzero gradient") {
-    val g = graph(1)
     val p0 = RGCN.init(cfg, 9).flat.clone()
-    val p = RGCNTrainer.trainLocal(Seq(g), cfg, epochs = 1, seed = 9)
+    val p = trainOne(Seq(graph(1)), cfg, epochs = 1, seed = 9)
     val moved = p.flat.zip(p0).count { case (a, b) => a != b }
     assert(moved > p0.length / 2)
   }
@@ -83,13 +109,6 @@ class RGCNTrainerSpec extends SparkSpec {
       RGCNTrainer.train(spark, Seq.empty, epochs = 1, seed = 1)
     }
   }
-
-  /** Graphs for a head of `classes` output classes. */
-  private def graphs(n: Int, classes: Int, from: Int): Seq[RGCN.EncodedGraph] =
-    (from until from + n).map { s =>
-      val g = graph(s)
-      g.copy(labels = g.labels.indices.map(i => (i + s) % classes).toArray)
-    }
 
   test("a head with no graphs is rejected by index before any Spark job") {
     var message = ""
@@ -104,19 +123,14 @@ class RGCNTrainerSpec extends SparkSpec {
   }
 
   test("three heads trained together are bitwise equal to each head trained alone") {
-    // head 1 has fewer graphs than most partition counts (empty slices);
-    // head 2 has three output classes
+    // head 1 has fewer graphs than chunks (empty chunks); head 2 has three
+    // output classes
     val heads = Seq(graphs(11, 2, 1) -> cfg, graphs(2, 2, 20) -> cfg,
       graphs(7, 3, 30) -> cfg.copy(outClasses = 3))
-    for (parts <- Seq(1, 3, 8)) {
-      val together = RGCNTrainer.trainPartitioned(spark, heads, epochs = 4, seed = 5, parts)
-      assert(together.size == heads.size)
-      for (((gs, c), p) <- heads.zip(together)) {
-        assert(bits(p) == bits(trainOn(parts, gs, c, epochs = 4, seed = 5)),
-          s"$parts partitions, ${c.outClasses} classes, ${gs.size} graphs")
-        // one partition sums in exactly the local order
-        if (parts == 1) assert(bits(p) == bits(RGCNTrainer.trainLocal(gs, c, epochs = 4, seed = 5)))
-      }
-    }
+    val together = RGCNTrainer.train(spark, heads, epochs = 4, seed = 5)
+    assert(together.size == heads.size)
+    for (((gs, c), p) <- heads.zip(together))
+      assert(bits(p) == bits(trainOne(gs, c, epochs = 4, seed = 5)),
+        s"${c.outClasses} classes, ${gs.size} graphs")
   }
 }
