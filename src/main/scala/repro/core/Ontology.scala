@@ -100,15 +100,16 @@ object GiantPipeline {
     (head.split(corpus).map(ex => GCTSPNet.encode(qtigOf(ex), head.labels(ex))),
       GCTSPNet.config(head.classes))
 
-  /** Train one GCTSP-Net head on `corpus` (Spark-distributed). */
-  def trainHead(spark: SparkSession, corpus: Datasets.Corpus, head: Head, epochs: Int): RGCN.Params =
-    RGCNTrainer.train(spark, Seq(input(corpus, head)), epochs, HeadSeed).head
+  /** Train one GCTSP-Net head on `corpus` (on local threads). */
+  def trainHead(corpus: Datasets.Corpus, head: Head, epochs: Int): RGCN.Params =
+    RGCNTrainer.train(Seq(input(corpus, head)), epochs, HeadSeed).head
 
-  /** Train the three GCTSP-Net heads in one Spark stage per epoch; each is
-    * bitwise equal to its own [[trainHead]].
+  /** Train the three GCTSP-Net heads in one trainer call; each is bitwise
+    * equal to its own [[trainHead]].
+    * `spark` is unused; it stays because perfbench calls this signature.
     */
   def trainModels(spark: SparkSession, corpus: Datasets.Corpus, epochs: Int): TrainedModels = {
-    val Seq(concept, event, element) = RGCNTrainer.train(spark,
+    val Seq(concept, event, element) = RGCNTrainer.train(
       Seq(ConceptHead, EventHead, ElementHead).map(input(corpus, _)), epochs, HeadSeed)
     TrainedModels(concept, event, element)
   }

@@ -63,15 +63,16 @@ object Tables {
   // ------------------------------------------------------------------
   // Tables 5–7 score the GCTSP-Net heads of a pipeline run. The
   // `(spark, prep, s)` forms serve callers without a run: each trains only
-  // the head its table scores. Both forms share one scoring body.
+  // the head its table scores (their `spark` is unused; perfbench
+  // calls these signatures). Both forms share one scoring body.
   // ------------------------------------------------------------------
 
   def table5(spark: SparkSession, prep: Prepared, s: Scale): Seq[PhraseScore] =
-    table5(prep.corpus, GiantPipeline.trainHead(spark, prep.corpus, GiantPipeline.ConceptHead, s.epochs))
+    table5(prep.corpus, GiantPipeline.trainHead(prep.corpus, GiantPipeline.ConceptHead, s.epochs))
   def table6(spark: SparkSession, prep: Prepared, s: Scale): Seq[PhraseScore] =
-    table6(prep.corpus, GiantPipeline.trainHead(spark, prep.corpus, GiantPipeline.EventHead, s.epochs))
+    table6(prep.corpus, GiantPipeline.trainHead(prep.corpus, GiantPipeline.EventHead, s.epochs))
   def table7(spark: SparkSession, prep: Prepared, s: Scale): Seq[ClassScore] =
-    table7(prep.corpus, GiantPipeline.trainHead(spark, prep.corpus, GiantPipeline.ElementHead, s.epochs))
+    table7(prep.corpus, GiantPipeline.trainHead(prep.corpus, GiantPipeline.ElementHead, s.epochs))
 
   def table5(res: GiantPipeline.Result): Seq[PhraseScore] = table5(res.corpus, res.models.conceptMiner)
   def table6(res: GiantPipeline.Result): Seq[PhraseScore] = table6(res.corpus, res.models.eventMiner)

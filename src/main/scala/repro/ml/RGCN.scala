@@ -137,15 +137,8 @@ object RGCN {
     }
   }
 
-  /** out (n × cols, row-major) = h (n × di, row-major) · W, where W is di × cols
-    * column-major at `w(off)`.
-    *
-    * Each output row is updated from the rows of a row-major copy of W, for
-    * the row's non-zero inputs only (one-hot layer-0 features, ReLU zeros),
-    * in ascending i (see the bit contract above).
-    */
-  private def matmul(h: Array[Double], n: Int, di: Int, w: Array[Double], off: Int,
-                     cols: Int): Array[Double] = {
+  /** The di × cols block at `w(off)`, column-major, copied row-major. */
+  private def rowMajor(w: Array[Double], off: Int, di: Int, cols: Int): Array[Double] = {
     val wt = new Array[Double](di * cols)
     var c = 0
     while (c < cols) {
@@ -154,6 +147,29 @@ object RGCN {
       while (i < di) { wt(i * cols + c) = w(wc + i); i += 1 }
       c += 1
     }
+    wt
+  }
+
+  /** The weights that [[matmul]] reads, copied row-major from one
+    * [[Params]]: per layer the stacked [W_0 | V_b…] block, then the output
+    * weights. A copy does not follow later changes to `Params.flat`.
+    */
+  private[ml] final class RowMajor(p: Params) {
+    private[RGCN] val lay = new Layout(p.cfg)
+    private[RGCN] val layers: Array[Array[Double]] = Array.tabulate(p.cfg.layers) { l =>
+      rowMajor(p.flat, lay.weights(l), p.cfg.layerDims(l)._1, (1 + p.cfg.bases) * p.cfg.hidden)
+    }
+    private[RGCN] val out: Array[Double] = rowMajor(p.flat, lay.outW, p.cfg.hidden, p.cfg.outClasses)
+  }
+
+  /** out (n × cols, row-major) = h (n × di, row-major) · W, where `wt` is W
+    * (di × cols) row-major.
+    *
+    * Each output row is updated from the rows of W, for the row's non-zero
+    * inputs only (one-hot layer-0 features, ReLU zeros), in ascending i (see
+    * the bit contract above).
+    */
+  private def matmul(h: Array[Double], n: Int, di: Int, wt: Array[Double], cols: Int): Array[Double] = {
     val out = new Array[Double](n * cols)
     val xs = new Array[Double](di)
     val offs = new Array[Int](di)
@@ -228,8 +244,9 @@ object RGCN {
   private final class Forward(val inputs: Array[Array[Double]], val ys: Array[Array[Double]],
                               val last: Array[Double], val logits: Array[Double])
 
-  private def forward(g: EncodedGraph, p: Params, lay: Layout): Forward = {
+  private def forward(g: EncodedGraph, p: Params, rows: RowMajor): Forward = {
     val cfg = p.cfg
+    val lay = rows.lay
     val w = p.flat
     val n = g.n
     val d = cfg.hidden
@@ -242,7 +259,7 @@ object RGCN {
     for (l <- 0 until cfg.layers) {
       val di = cfg.layerDims(l)._1
       val stride = (1 + nb) * d
-      val y = matmul(h, n, di, w, lay.weights(l), stride)
+      val y = matmul(h, n, di, rows.layers(l), stride)
       for (r <- 0 until cfg.relations) {
         val edges = g.rels(r)
         val inv = g.invDeg(r)
@@ -272,7 +289,7 @@ object RGCN {
       }
     }
     val k = cfg.outClasses
-    val logits = matmul(h, n, d, w, lay.outW, k)
+    val logits = matmul(h, n, d, rows.out, k)
     for (v <- 0 until n; c <- 0 until k) logits(v * k + c) += w(lay.outB + c)
     new Forward(inputs, ys, h, logits)
   }
@@ -290,7 +307,7 @@ object RGCN {
   /** Per-node class probabilities. */
   def predictProbs(g: EncodedGraph, params: Params): Array[Array[Double]] = {
     val k = params.cfg.outClasses
-    val logits = forward(g, params, new Layout(params.cfg)).logits
+    val logits = forward(g, params, new RowMajor(params)).logits
     Array.tabulate(g.n) { v =>
       val row = new Array[Double](k)
       softmaxRow(logits, v, k, row)
@@ -301,17 +318,19 @@ object RGCN {
   /** Mean cross-entropy loss over the nodes and flat gradient for one graph. */
   def lossAndGrad(g: EncodedGraph, params: Params): (Double, Array[Double]) = {
     val grad = new Array[Double](params.cfg.nParams)
-    (lossAndGradInto(g, params, grad), grad)
+    (lossAndGradInto(g, params, new RowMajor(params), grad), grad)
   }
 
-  /** [[lossAndGrad]] with the gradient written into `grad`, which must hold
-    * +0.0 everywhere: every gradient entry is a sum that starts there.
+  /** [[lossAndGrad]] with `rows` copied from `params`, and the gradient
+    * written into `grad`, which must hold +0.0 everywhere: every gradient
+    * entry is a sum that starts there.
     */
-  private[ml] def lossAndGradInto(g: EncodedGraph, params: Params, grad: Array[Double]): Double = {
+  private[ml] def lossAndGradInto(g: EncodedGraph, params: Params, rows: RowMajor,
+                                  grad: Array[Double]): Double = {
     val cfg = params.cfg
     val w = params.flat
-    val lay = new Layout(cfg)
-    val fw = forward(g, params, lay)
+    val lay = rows.lay
+    val fw = forward(g, params, rows)
     val n = g.n
     val d = cfg.hidden
     val nb = cfg.bases

@@ -1,24 +1,27 @@
 package repro.ml
 
-import org.apache.spark.sql.SparkSession
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
 
-/** Full-batch Adam training for [[RGCN]] heads on Spark.
+/** Full-batch Adam training for [[RGCN]] heads on local threads.
   *
   * A call trains one or more independent heads, each a `(graphs, config)`
   * pair, for the same number of epochs from the same seed. Each epoch computes
   * every head's exact mean loss gradient over its graphs and applies a
-  * separate Adam step per head on the driver — the Spark-native analogue of
-  * the paper's GPU training loop.
+  * separate Adam step per head — the paper's single-process training loop,
+  * with the gradient sums spread over threads.
   *
-  * The graphs are broadcast once per call and each epoch is one stage over
-  * `Chunks` (4) chunk ids, one task per chunk, that serves every head.
+  * Each epoch splits every head's gradient sum into `Chunks` (4) chunks, and
+  * each (head, chunk) pair is one unit on the daemon threads of
+  * `ExecutionContext.global`. A unit only reads the shared graphs and
+  * parameters and writes only its own buffers.
   *
   * Summation order: chunk k sums head h's graphs `[k·n_h/4, (k+1)·n_h/4)` in
-  * input order, starting from zero, and the driver adds each head's four
+  * input order, starting from zero, and the caller adds each head's four
   * chunk sums in chunk order, again starting from zero. A head's result
-  * depends only on its graphs, their order and the seed — never on the core
-  * count, on task timing or on the other heads — so two runs give
-  * bitwise-identical parameters on any master and a head trained with others
+  * depends only on its graphs, their order and the seed — never on the thread
+  * count, on unit timing or on the other heads — so two runs give
+  * bitwise-identical parameters on any machine and a head trained with others
   * equals the head trained alone.
   */
 object RGCNTrainer {
@@ -33,10 +36,9 @@ object RGCNTrainer {
   private val Eps = 1e-8
   private val WeightDecay = 1e-5
 
-  // Chunks of every head's gradient sum: the summation order, and the tasks
-  // of an epoch. A constant `final val` is inlined, so the task closure does
-  // not capture this object.
-  private final val Chunks = 4
+  // Chunks of every head's gradient sum: the summation order, and the units
+  // of an epoch.
+  private val Chunks = 4
 
   /** Adam state over a flat parameter vector. */
   private final class Adam(n: Int) {
@@ -59,48 +61,45 @@ object RGCNTrainer {
   }
 
   /** Train `heads`; returns their parameters in input order. Each epoch
-    * broadcasts every head's parameters, runs one stage and collects each
-    * chunk's per-head sums.
+    * runs every (head, chunk) unit on the global pool and waits for all of
+    * them.
     */
-  def train(spark: SparkSession, heads: Seq[Head], epochs: Int, seed: Long): Seq[RGCN.Params] = {
+  def train(heads: Seq[Head], epochs: Int, seed: Long): Seq[RGCN.Params] = {
     requireGraphs(heads)
-    val sc = spark.sparkContext
-    val cfgs = heads.map(_._2)
-    val graphs = sc.broadcast(heads.map(_._1.toArray))
-    try loop(heads, epochs, seed) { flats =>
-      val params = sc.broadcast(flats.map(_.clone()))
-      val chunks = try sc.parallelize(0 until Chunks, Chunks).map { k =>
-        graphs.value.zip(params.value).zip(cfgs).map { case ((gs, flat), cfg) =>
-          val from = (k.toLong * gs.length / Chunks).toInt
-          val until = ((k + 1).toLong * gs.length / Chunks).toInt
-          gradSum(gs.iterator.slice(from, until), new RGCN.Params(cfg, flat))
-        }
-      }.collect() finally params.destroy()
-      cfgs.indices.map { h =>
-        val grad = new Array[Double](cfgs(h).nParams)
-        chunks.foreach(chunk => addTo(grad, chunk(h)))
-        grad
+    implicit val ec: ExecutionContext = ExecutionContext.global
+    loop(heads, epochs, seed) { flats =>
+      val units = for (((gs, cfg), flat) <- heads.zip(flats); k <- 0 until Chunks) yield Future {
+        val from = (k.toLong * gs.length / Chunks).toInt
+        val until = ((k + 1).toLong * gs.length / Chunks).toInt
+        gradSum(gs.iterator.slice(from, until), new RGCN.Params(cfg, flat))
       }
-    } finally graphs.destroy()
+      Await.result(Future.sequence(units), Duration.Inf).grouped(Chunks).map { chunks =>
+        val grad = new Array[Double](chunks.head.length)
+        chunks.foreach(addTo(grad, _))
+        grad
+      }.toSeq
+    }
   }
 
   /** Reject a call without heads or with a head without graphs, before any
-    * Spark work starts.
+    * gradient is computed.
     */
   private def requireGraphs(heads: Seq[Head]): Unit = {
     require(heads.nonEmpty, "no heads to train")
     for ((h, i) <- heads.zipWithIndex) require(h._1.nonEmpty, s"head $i has no training graphs")
   }
 
-  /** Summed gradient of `graphs`, in iteration order. Each graph's gradient
-    * is computed into one reused buffer, zeroed per graph.
+  /** Summed gradient of `graphs`, in iteration order. The weights are
+    * copied row-major once, and each graph's gradient is computed into one
+    * reused buffer, zeroed per graph.
     */
   private def gradSum(graphs: Iterator[RGCN.EncodedGraph], p: RGCN.Params): Array[Double] = {
+    val rows = new RGCN.RowMajor(p)
     val grad = new Array[Double](p.cfg.nParams)
     val one = new Array[Double](p.cfg.nParams)
     for (g <- graphs) {
       java.util.Arrays.fill(one, 0.0)
-      RGCN.lossAndGradInto(g, p, one)
+      RGCN.lossAndGradInto(g, p, rows, one)
       addTo(grad, one)
     }
     grad

@@ -54,7 +54,7 @@ class GCTSPNetSpec extends SparkSpec {
     val test = corpus.test(corpus.cmd) ++ corpus.cmd.filter(_.split == "dev")
     assert(train.size > 30 && test.nonEmpty)
     val graphs = train.map(ex => GCTSPNet.encode(GiantPipeline.qtigOf(ex), GCTSPNet.binaryLabels(ex.gold)))
-    val params = RGCNTrainer.train(spark, Seq(graphs -> GCTSPNet.config(2)), epochs = 40, seed = 13).head
+    val params = RGCNTrainer.train(Seq(graphs -> GCTSPNet.config(2)), epochs = 40, seed = 13).head
     val pairs = test.map { ex =>
       (GCTSPNet.minePhrase(GiantPipeline.qtigOf(ex), params), ex.gold)
     }
@@ -71,7 +71,7 @@ class GCTSPNetSpec extends SparkSpec {
       GCTSPNet.encode(GiantPipeline.qtigOf(ex),
         GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation))
     }
-    val params = RGCNTrainer.train(spark, Seq(graphs -> GCTSPNet.config(GCTSPNet.ElementClasses)),
+    val params = RGCNTrainer.train(Seq(graphs -> GCTSPNet.config(GCTSPNet.ElementClasses)),
       epochs = 40, seed = 13).head
     val pairs = test.flatMap { ex =>
       val lf = GCTSPNet.elementLabels(ex.goldEntity, ex.goldTrigger, ex.goldLocation)

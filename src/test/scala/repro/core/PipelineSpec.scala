@@ -94,7 +94,7 @@ class PipelineSpec extends SparkSpec {
     val prep = Tables.prepare(spark, scale)
     assert(prep.corpus == res.corpus)
     def bits(p: RGCN.Params): Seq[Long] = p.flat.toSeq.map(java.lang.Double.doubleToLongBits)
-    def trained(head: GiantPipeline.Head) = bits(GiantPipeline.trainHead(spark, prep.corpus, head, scale.epochs))
+    def trained(head: GiantPipeline.Head) = bits(GiantPipeline.trainHead(prep.corpus, head, scale.epochs))
     assert(trained(GiantPipeline.ConceptHead) == bits(res.models.conceptMiner))
     assert(trained(GiantPipeline.EventHead) == bits(res.models.eventMiner))
     assert(trained(GiantPipeline.ElementHead) == bits(res.models.elementClassifier))

@@ -6,8 +6,8 @@ import repro.SparkSpec
 
 object RGCNTrainerSpec {
 
-  /** [[RGCNTrainer.train]] without Spark: the same loop, with each head's
-    * gradient summed on the driver in the trainer's chunk order. Chunk k of n
+  /** [[RGCNTrainer.train]] on one thread: the same loop, with each head's
+    * gradient summed sequentially in the trainer's chunk order. Chunk k of n
     * graphs sums graphs `[k·n/4, (k+1)·n/4)` from zero, and the head's
     * gradient adds the four chunk sums to zero in chunk order.
     */
@@ -39,10 +39,10 @@ class RGCNTrainerSpec extends SparkSpec {
 
   private def bits(p: RGCN.Params): Seq[Long] = p.flat.map(java.lang.Double.doubleToRawLongBits).toSeq
 
-  /** One head trained on Spark. */
+  /** One head trained by the trainer. */
   private def trainOne(graphs: Seq[RGCN.EncodedGraph], cfg: RGCN.Config,
                        epochs: Int, seed: Long): RGCN.Params =
-    RGCNTrainer.train(spark, Seq(graphs -> cfg), epochs, seed).head
+    RGCNTrainer.train(Seq(graphs -> cfg), epochs, seed).head
 
   /** Graphs for a head of `classes` output classes. */
   private def graphs(n: Int, classes: Int, from: Int): Seq[RGCN.EncodedGraph] =
@@ -52,6 +52,8 @@ class RGCNTrainerSpec extends SparkSpec {
     }
 
   test("property: train equals the driver-side chunk sum bitwise for 1-12 graphs") {
+    // the reference runs on one thread, so this also checks that the result
+    // does not depend on the thread count
     // counts below 4 leave chunks empty
     val seen = collection.mutable.Set[Int]()
     val cases = for {
@@ -64,7 +66,7 @@ class RGCNTrainerSpec extends SparkSpec {
       .withInitialSeed(Seed(20200614L)), Prop.forAllNoShrink(cases) { case (n, classes, from, seed) =>
       seen += n
       val head = Seq(graphs(n, classes, from) -> cfg.copy(outClasses = classes))
-      bits(RGCNTrainer.train(spark, head, epochs = 2, seed).head) == bits(reference(head, epochs = 2, seed).head)
+      bits(RGCNTrainer.train(head, epochs = 2, seed).head) == bits(reference(head, epochs = 2, seed).head)
     })
     assert(r.passed, org.scalacheck.util.Pretty.pretty(r))
     assert(seen == (1 to 12).toSet, s"graph counts checked: ${seen.toSeq.sorted}")
@@ -103,23 +105,39 @@ class RGCNTrainerSpec extends SparkSpec {
 
   test("empty graph set is rejected") {
     intercept[IllegalArgumentException] {
-      RGCNTrainer.train(spark, Seq(Seq.empty[RGCN.EncodedGraph] -> cfg), epochs = 1, seed = 1)
+      RGCNTrainer.train(Seq(Seq.empty[RGCN.EncodedGraph] -> cfg), epochs = 1, seed = 1)
     }
     intercept[IllegalArgumentException] {
-      RGCNTrainer.train(spark, Seq.empty, epochs = 1, seed = 1)
+      RGCNTrainer.train(Seq.empty, epochs = 1, seed = 1)
     }
   }
 
-  test("a head with no graphs is rejected by index before any Spark job") {
-    var message = ""
-    val jobs = jobsOf {
-      message = intercept[IllegalArgumentException] {
-        RGCNTrainer.train(spark, Seq(graphs(4, 2, 1) -> cfg, Seq.empty -> cfg,
-          graphs(3, 3, 7) -> cfg.copy(outClasses = 3)), epochs = 2, seed = 1)
-      }.getMessage
-    }
+  test("a head with no graphs is rejected by index before any gradient is computed") {
+    // head 0's graph does not fit its config, so computing its gradient
+    // throws something else
+    val unfit = graph(1).copy(feats = Array.fill(6)(Array(0.5)))
+    val message = intercept[IllegalArgumentException] {
+      RGCNTrainer.train(Seq(Seq(unfit) -> cfg, Seq.empty -> cfg,
+        graphs(3, 3, 7) -> cfg.copy(outClasses = 3)), epochs = 2, seed = 1)
+    }.getMessage
     assert(message.contains("head 1 "), message)
-    assert(jobs == 0)
+    intercept[IndexOutOfBoundsException](trainOne(Seq(unfit), cfg, epochs = 1, seed = 1))
+  }
+
+  test("train launches no Spark job") {
+    assert(jobsOf(trainOne((1 to 8).map(graph), cfg, epochs = 2, seed = 3)) == 0)
+  }
+
+  test("train leaves no new non-daemon thread alive") {
+    // a live non-daemon thread keeps the JVM of a job or bench from exiting
+    def nonDaemon: Set[Thread] = {
+      import scala.jdk.CollectionConverters._
+      Thread.getAllStackTraces.keySet.asScala.filter(t => t.isAlive && !t.isDaemon).toSet
+    }
+    val before = nonDaemon
+    trainOne((1 to 8).map(graph), cfg, epochs = 2, seed = 3)
+    val added = nonDaemon -- before
+    assert(added.isEmpty, added.map(_.getName).mkString(", "))
   }
 
   test("three heads trained together are bitwise equal to each head trained alone") {
@@ -127,7 +145,7 @@ class RGCNTrainerSpec extends SparkSpec {
     // output classes
     val heads = Seq(graphs(11, 2, 1) -> cfg, graphs(2, 2, 20) -> cfg,
       graphs(7, 3, 30) -> cfg.copy(outClasses = 3))
-    val together = RGCNTrainer.train(spark, heads, epochs = 4, seed = 5)
+    val together = RGCNTrainer.train(heads, epochs = 4, seed = 5)
     assert(together.size == heads.size)
     for (((gs, c), p) <- heads.zip(together))
       assert(bits(p) == bits(trainOne(gs, c, epochs = 4, seed = 5)),
