@@ -13,7 +13,7 @@ import repro.eval.{DocTaggingEval, TablePrinter, Tables}
   */
 object ReproduceJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("giant-reproduce")
+    val spark = SparkSession.builder().appName("giant-reproduce")
       // spark-submit provides spark.master via system properties; fall back
       // to local[*] so the job also runs under `sbt runMain`
       .master(sys.props.getOrElse("spark.master",

@@ -10,7 +10,7 @@ import repro.graph.QTIG
   * decoded greedily — a deliberately crude generative decoder that
   * reproduces the "free generation does not match gold phrases" shape.
   */
-final class TextSummaryLite private (bigrams: Map[String, Map[String, Int]]) extends Serializable {
+final class TextSummaryLite private (bigrams: Map[String, Map[String, Int]]) {
 
   /** Greedy decode from `<sos>`, never repeating a token, up to `MaxLen`. */
   def summarize(): Seq[String] = {

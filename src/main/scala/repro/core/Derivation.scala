@@ -31,6 +31,9 @@ object Derivation {
         h.pos == "NOUN"
       }
 
+  /** The proper suffixes of a phrase, longest first. */
+  def properSuffixes(p: Seq[String]): Seq[Seq[String]] = (1 until p.size).map(p.drop)
+
   /** Fewest distinct concepts sharing a CSD suffix (paper: support 2). */
   private val MinSuffixSupport = 2
 
@@ -44,9 +47,7 @@ object Derivation {
     * @return DataFrame (suffix: array<string>, support: long)
     */
   def commonSuffixes(spark: SparkSession, concepts: DataFrame): DataFrame = {
-    val suffixesUdf = udf { (phrase: Seq[String]) =>
-      (1 until phrase.size).map(i => phrase.drop(i))
-    }
+    val suffixesUdf = udf(properSuffixes(_: Seq[String]))
     val npUdf = udf(isNounPhrase(_: Seq[String]))
     concepts
       .select(col("id"), explode(suffixesUdf(col("phrase"))) as "suffix")

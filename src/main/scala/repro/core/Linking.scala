@@ -1,10 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.ml.{Embeddings, LogReg}
-import repro.nlp.Lang
 
 /** Attention linking (Sec. 3.2): construct the isA / involve / correlate
   * edges of the Attention Ontology. Each strategy mirrors the paper's
@@ -63,10 +62,8 @@ object Linking {
   def suffixIsA(concepts: Seq[(Long, Seq[String])]): Seq[Edge] = {
     val byPhrase = concepts.groupBy(_._2)
     concepts.flatMap { case (id, phrase) =>
-      (1 until phrase.size).flatMap { i =>
-        byPhrase.getOrElse(phrase.drop(i), Seq.empty)
-          .map { case (pid, _) => Edge(id, pid, IsA, "concept-suffix") }
-      }
+      Derivation.properSuffixes(phrase).flatMap(byPhrase.getOrElse(_, Nil))
+        .map { case (pid, _) => Edge(id, pid, IsA, "concept-suffix") }
     }.distinct
   }
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.Par
 import repro.data.{ClickLogGen, OntoGen}
 import repro.eval.Datasets
 import repro.eval.Datasets.MiningExample
@@ -116,20 +117,16 @@ object GiantPipeline {
 
   /** Mine phrases for every cluster with the trained models (Algorithm 1):
     * the CMD clusters with the concept miner and the EMD clusters with the
-    * event miner, in one Spark job.
+    * event miner, each cluster one item of a [[repro.Par.map]].
+    * `spark` is unused; it stays because perfbench calls this signature.
     */
   def minePhrases(spark: SparkSession, corpus: Datasets.Corpus,
                   models: TrainedModels): (Seq[Normalize.MinedPhrase], Seq[Normalize.MinedPhrase]) = {
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(Seq(models.conceptMiner, models.eventMiner))
-    val work = corpus.cmd.map(0 -> _) ++ corpus.emd.map(1 -> _)
-    val out = sc.parallelize(work, sc.defaultParallelism).map { case (h, ex) =>
-      val phrase = GCTSPNet.minePhrase(qtigOf(ex), bc.value(h))
-      Normalize.MinedPhrase(ex.seed, phrase, ex.isEvent,
+    val work = corpus.cmd.map(_ -> models.conceptMiner) ++ corpus.emd.map(_ -> models.eventMiner)
+    Par.map(work) { case (ex, miner) =>
+      Normalize.MinedPhrase(ex.seed, GCTSPNet.minePhrase(qtigOf(ex), miner), ex.isEvent,
         ex.titles.map(_.tokens), ex.docIds, ex.attnId)
-    }.collect().toSeq
-    bc.destroy()
-    out.splitAt(corpus.cmd.size)
+    }.splitAt(corpus.cmd.size)
   }
 
   /** Assemble and link the ontology from mined phrases. */
@@ -160,9 +157,8 @@ object GiantPipeline {
 
     // element recognition on event clusters (for CPD + involve edges)
     val exampleBySeed = (corpus.cmd ++ corpus.emd).map(x => x.seed -> x).toMap
-    val elementsOf: Map[Long, Map[String, Int]] = eventNodes.map { n =>
-      val ex = exampleBySeed(n.seeds.head)
-      n.id -> GCTSPNet.classifyElements(qtigOf(ex), models.elementClassifier)
+    val elementsOf: Map[Long, Map[String, Int]] = Par.map(eventNodes) { n =>
+      n.id -> GCTSPNet.classifyElements(qtigOf(exampleBySeed(n.seeds.head)), models.elementClassifier)
     }.toMap
 
     // --- concept-entity isA (Fig. 4 auto-labeled classifier) ---
@@ -270,7 +266,7 @@ object GiantPipeline {
           .filter(_.parentId.isEmpty).map(_.tokens)
         val mined = direct.getOrElse(e.id, Seq.empty)
         val withAncestors = mined.flatMap { p =>
-          p +: (1 until p.size).map(p.drop).filter(Derivation.isNounPhrase)
+          p +: Derivation.properSuffixes(p).filter(Derivation.isNounPhrase)
         }
         e.name -> (withAncestors ++ kbBase).distinct
       }.toMap

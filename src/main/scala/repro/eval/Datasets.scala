@@ -38,7 +38,6 @@ object Datasets {
     */
   def build(spark: SparkSession, onto: OntoGen.GoldOntology, log: ClickLogGen.ClickLog): Corpus = {
     val clusters = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks)
-      .collect().toVector
     // canonical seed per attention = smallest query id (created first)
     val canonical = clusters.groupBy(_.gold_attn).map { case (_, cs) => cs.minBy(_.seed) }
 

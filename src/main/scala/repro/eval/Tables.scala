@@ -219,7 +219,7 @@ object Tables {
 
     // gold-valid concept phrases: gold tokens + their noun-phrase suffixes
     val validPhrases: Set[Seq[String]] = onto.concepts.flatMap { c =>
-      c.tokens +: (1 until c.tokens.size).map(c.tokens.drop).filter(Derivation.isNounPhrase)
+      c.tokens +: Derivation.properSuffixes(c.tokens).filter(Derivation.isNounPhrase)
     }.toSet
 
     def goldConceptsOf(nodeId: Long): Seq[OntoGen.GoldConcept] =
@@ -229,7 +229,7 @@ object Tables {
 
     def ancestorOf(phrase: Seq[String], e: OntoGen.GoldEntity): Boolean =
       e.conceptIds.flatMap(onto.conceptById.get).exists { c =>
-        c.tokens == phrase || (1 until c.tokens.size).exists(i => c.tokens.drop(i) == phrase)
+        c.tokens == phrase || Derivation.properSuffixes(c.tokens).contains(phrase)
       }
 
     def correct(e: Linking.Edge): Boolean = e.how match {
@@ -242,7 +242,7 @@ object Tables {
       case "concept-suffix" =>
         val sp = nodeById(e.src).phrase; val dp = nodeById(e.dst).phrase
         validPhrases.contains(sp) && validPhrases.contains(dp) &&
-          (1 until sp.size).exists(i => sp.drop(i) == dp)
+          Derivation.properSuffixes(sp).contains(dp)
       case "event-topic" =>
         (topicById.get(e.dst), goldEventsOf(e.src)) match {
           case (Some(t), ges) if ges.nonEmpty =>

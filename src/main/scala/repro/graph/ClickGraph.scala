@@ -1,7 +1,8 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.Par
 import repro.nlp.Lang
 import scala.collection.mutable
 
@@ -10,12 +11,12 @@ import scala.collection.mutable
   * assembly.
   *
   * The transport probabilities come from one DataFrame aggregation of the
-  * clicks, normalised on the driver. The walk runs per seed on a broadcast of
-  * the transport adjacency, whose size is O(click edges): the seeds stay a
-  * distributed Dataset and each seed walks in one `flatMap`, with no shuffle
-  * per round. Visit mass at a node is summed over its in-neighbours in
-  * ascending neighbour id, starting from 0.0; that order is part of the
-  * contract, because it fixes every weight to the bit.
+  * clicks, normalised on the driver. The attention seeds, the query tokens and
+  * the doc titles are collected once, and the seeds are walked on the driver
+  * through [[repro.Par.map]], each seed on its own with no shuffle per round.
+  * Visit mass at a node is summed over its in-neighbours in ascending
+  * neighbour id, starting from 0.0; that order is part of the contract,
+  * because it fixes every weight to the bit.
   */
 object ClickGraph {
 
@@ -90,45 +91,36 @@ object ClickGraph {
   /** Per-half-step pruning threshold of the walk. */
   private[graph] val Prune = 0.01
 
-  // Constant `final val`s are inlined, so the seeds' `flatMap` closure does
-  // not capture this object.
-
   /** Walk rounds (q→d→q each) per seed. */
-  private final val Rounds = 2
+  private val Rounds = 2
 
   /** δ_v: the lowest visit weight of a cluster member. */
-  private final val DeltaV = 0.05
+  private val DeltaV = 0.05
 
   /** Most queries and most titles kept per cluster. */
-  private final val MaxMembers = 12
+  private val MaxMembers = 12
 
   /** Fraction of non-stop tokens must exceed 1/2 (Algorithm 1 keep rule). */
   val mostlyContent: Seq[String] => Boolean = { toks =>
     toks.nonEmpty && Lang.contentTokens(toks).size * 2 > toks.size
   }
 
-  /** Driver-side state every seed's walk reads: the transport adjacency, the
-    * tokens of the queries that pass [[mostlyContent]] and the doc titles.
-    */
-  private final case class WalkState(t: Transport, queryTokens: Map[Long, Seq[String]],
-                                     titles: Map[Long, Seq[String]])
-
-  /** Assemble query-doc clusters from the random walk (Algorithm 1 lines 2–8).
-    *
-    * Queries/titles are ordered by descending visit weight (ties by id);
-    * members below δ_v are dropped; queries that are mostly stop words are
-    * dropped; at most `MaxMembers` of each are kept. A seed yields a cluster
-    * only when it keeps at least one query and one doc. Clicks on query or
-    * doc ids missing from `queries`/`docs` carry walk mass but never become
-    * members.
+  /** Assemble query-doc clusters from the random walk (Algorithm 1 lines 2–8),
+    * in ascending seed id. Queries/titles are ordered by descending visit
+    * weight (ties by id); members below δ_v are dropped; queries that are
+    * mostly stop words are dropped; at most `MaxMembers` of each are kept. A
+    * seed yields a cluster only when it keeps at least one query and one doc.
+    * Clicks on query or doc ids missing from `queries`/`docs` carry walk mass
+    * but never become members.
     */
   def clusters(spark: SparkSession, queries: DataFrame, docs: DataFrame,
-               clicks: DataFrame): Dataset[ClusterRow] = {
+               clicks: DataFrame): Seq[ClusterRow] = {
     import spark.implicits._
-    val queryTokens = queries.select(col("query_id"), col("tokens")).as[(Long, Seq[String])]
-      .collect().filter(q => mostlyContent(q._2)).toMap
-    val titles = docs.select(col("doc_id"), col("title")).as[(Long, Seq[String])].collect().toMap
-    val state = spark.sparkContext.broadcast(WalkState(transport(clicks), queryTokens, titles))
+    val rows = queries.select("query_id", "tokens", "kind", "gold_attn", "category")
+      .as[(Long, Seq[String], String, Long, String)].collect()
+    val queryTokens = rows.collect { case (id, toks, _, _, _) if mostlyContent(toks) => id -> toks }.toMap
+    val titles = docs.select("doc_id", "title").as[(Long, Seq[String])].collect().toMap
+    val tr = transport(clicks)
 
     def members(visits: Map[Long, Double], texts: Map[Long, Seq[String]]): Seq[(Long, WText)] =
       visits.toSeq.filter(_._2 >= DeltaV)
@@ -136,15 +128,12 @@ object ClickGraph {
         .sortBy { case (id, t) => (-t.w, id) }
         .take(MaxMembers)
 
-    queries.where(col("kind") === "attention")
-      .select(col("query_id"), col("gold_attn"), col("category")).as[(Long, Long, String)]
-      .flatMap { case (seed, goldAttn, category) =>
-        val s = state.value
-        val (qv, dv) = walk(s.t, seed, Rounds, Prune)
-        val qs = members(qv, s.queryTokens)
-        val ds = members(dv, s.titles)
-        if (qs.isEmpty || ds.isEmpty) None
-        else Some(ClusterRow(seed, goldAttn, category, qs.map(_._2), ds.map(_._2), ds.map(_._1).sorted))
-      }
+    Par.map(rows.toSeq.filter(_._3 == "attention").sortBy(_._1)) { case (seed, _, _, goldAttn, category) =>
+      val (qv, dv) = walk(tr, seed, Rounds, Prune)
+      val qs = members(qv, queryTokens)
+      val ds = members(dv, titles)
+      if (qs.isEmpty || ds.isEmpty) None
+      else Some(ClusterRow(seed, goldAttn, category, qs.map(_._2), ds.map(_._2), ds.map(_._1).sorted))
+    }.flatten
   }
 }

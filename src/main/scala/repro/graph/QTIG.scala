@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.nlp.{DepParser, Lang}
+import repro.nlp.DepParser
 
 /** Query-Title Interaction Graph (Sec. 3.1, Algorithm 2).
   *

@@ -46,7 +46,7 @@ private[ml] object PerceptronWeights {
   * accumulates each change times the step it was made in, so that
   * [[average]] can turn the final weights into their average over all steps.
   */
-private[ml] final class PerceptronWeights(numLabels: Int) extends Serializable {
+private[ml] final class PerceptronWeights(numLabels: Int) {
 
   private val w = collection.mutable.Map[String, Array[Double]]()
   private val wSum = collection.mutable.Map[String, Array[Double]]()
@@ -73,7 +73,7 @@ private[ml] final class PerceptronWeights(numLabels: Int) extends Serializable {
 }
 
 /** Linear-chain CRF via averaged structured perceptron. */
-final class CRFTagger(val numLabels: Int) extends Serializable {
+final class CRFTagger(val numLabels: Int) {
 
   private val w = new PerceptronWeights(numLabels)
   private val trans = Array.fill(numLabels + 1, numLabels)(0.0) // row numLabels = start
@@ -132,7 +132,7 @@ final class CRFTagger(val numLabels: Int) extends Serializable {
 }
 
 /** Per-token averaged perceptron (no transition structure). */
-final class SoftmaxTagger(val numLabels: Int) extends Serializable {
+final class SoftmaxTagger(val numLabels: Int) {
 
   private val w = new PerceptronWeights(numLabels)
 

@@ -5,7 +5,7 @@ package repro.ml
   * classifier (Sec. 3.2). The paper's contribution there is the
   * auto-constructed training set (Fig. 4), not the classifier family.
   */
-final class LogReg(val dim: Int) extends Serializable {
+final class LogReg(val dim: Int) {
   val w = new Array[Double](dim)
   var b = 0.0
 

@@ -43,11 +43,11 @@ object RGCN {
     * @param labels per-node class id; every node is in the loss
     */
   final case class EncodedGraph(feats: Array[Array[Double]], rels: Array[Array[Int]],
-                                labels: Array[Int]) extends Serializable {
+                                labels: Array[Int]) {
     def n: Int = feats.length
 
     /** Per relation, 1/c_{v,r} for every node v; 0 where v has no in-edges. */
-    @transient private[ml] lazy val invDeg: Array[Array[Double]] = rels.map { edges =>
+    private[ml] lazy val invDeg: Array[Array[Double]] = rels.map { edges =>
       val deg = new Array[Double](n)
       var i = 0
       while (i < edges.length) { deg(edges(i)) += 1; i += 2 }
@@ -56,7 +56,7 @@ object RGCN {
   }
 
   final case class Config(inDim: Int, hidden: Int, layers: Int, relations: Int,
-                          bases: Int, outClasses: Int) extends Serializable {
+                          bases: Int, outClasses: Int) {
     /** Dims (in, out) of layer l. */
     def layerDims(l: Int): (Int, Int) = (if (l == 0) inDim else hidden, hidden)
     /** Total number of parameters in the flat vector. */
@@ -73,7 +73,7 @@ object RGCN {
     * V_1 … V_B (in × out each), then a (relations × bases), all column-major;
     * then the output weights (hidden × outClasses, column-major) and bias.
     */
-  final class Params(val cfg: Config, val flat: Array[Double]) extends Serializable {
+  final class Params(val cfg: Config, val flat: Array[Double]) {
     require(flat.length == cfg.nParams, s"expected ${cfg.nParams} params, got ${flat.length}")
   }
 

@@ -1,7 +1,6 @@
 package repro.ml
 
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
+import repro.Par
 
 /** Full-batch Adam training for [[RGCN]] heads on local threads.
   *
@@ -12,9 +11,8 @@ import scala.concurrent.duration.Duration
   * with the gradient sums spread over threads.
   *
   * Each epoch splits every head's gradient sum into `Chunks` (4) chunks, and
-  * each (head, chunk) pair is one unit on the daemon threads of
-  * `ExecutionContext.global`. A unit only reads the shared graphs and
-  * parameters and writes only its own buffers.
+  * each (head, chunk) pair is one unit of a [[repro.Par.map]]. A unit only
+  * reads the shared graphs and parameters and writes only its own buffers.
   *
   * Summation order: chunk k sums head h's graphs `[k·n_h/4, (k+1)·n_h/4)` in
   * input order, starting from zero, and the caller adds each head's four
@@ -61,19 +59,17 @@ object RGCNTrainer {
   }
 
   /** Train `heads`; returns their parameters in input order. Each epoch
-    * runs every (head, chunk) unit on the global pool and waits for all of
-    * them.
+    * maps every (head, chunk) unit through [[repro.Par.map]].
     */
   def train(heads: Seq[Head], epochs: Int, seed: Long): Seq[RGCN.Params] = {
     requireGraphs(heads)
-    implicit val ec: ExecutionContext = ExecutionContext.global
     loop(heads, epochs, seed) { flats =>
-      val units = for (((gs, cfg), flat) <- heads.zip(flats); k <- 0 until Chunks) yield Future {
+      val units = for (((gs, cfg), flat) <- heads.zip(flats); k <- 0 until Chunks) yield (gs, cfg, flat, k)
+      Par.map(units) { case (gs, cfg, flat, k) =>
         val from = (k.toLong * gs.length / Chunks).toInt
         val until = ((k + 1).toLong * gs.length / Chunks).toInt
         gradSum(gs.iterator.slice(from, until), new RGCN.Params(cfg, flat))
-      }
-      Await.result(Future.sequence(units), Duration.Inf).grouped(Chunks).map { chunks =>
+      }.grouped(Chunks).map { chunks =>
         val grad = new Array[Double](chunks.head.length)
         chunks.foreach(addTo(grad, _))
         grad

@@ -49,7 +49,7 @@ class GCTSPNetSpec extends SparkSpec {
     assert(GCTSPNet.atspDecode(g, Set(g.nodeOf("runner").get)) == Seq("runner"))
   }
 
-  test("binary miner learns concept extraction well above baseline (distributed)") {
+  test("binary miner learns concept extraction well above baseline") {
     val train = corpus.train(corpus.cmd)
     val test = corpus.test(corpus.cmd) ++ corpus.cmd.filter(_.split == "dev")
     assert(train.size > 30 && test.nonEmpty)
@@ -64,7 +64,7 @@ class GCTSPNetSpec extends SparkSpec {
     assert(cov > 0.8)
   }
 
-  test("element classifier learns the 4-class task (distributed)") {
+  test("element classifier learns the 4-class task") {
     val train = corpus.train(corpus.emd)
     val test = corpus.test(corpus.emd) ++ corpus.emd.filter(_.split == "dev")
     val graphs = train.map { ex =>

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SharedRun, SparkSpec}
-import repro.eval.Tables
+import repro.eval.{Datasets, Tables}
 import repro.ml.RGCN
 
 /** End-to-end pipeline integration: generate → walk → mine → normalize →
@@ -81,6 +81,19 @@ class PipelineSpec extends SparkSpec {
     assert(res.built.digest == Ontology.Digest(
       "8260fb1d45d5851df9655e1bf70e576c3e6e13185589409754b78c239c2046ec",
       "43cb2c02fb3e441ed58fd308e8b70ab8cb67ed744d5579577e826ed28560a0ea"))
+  }
+
+  test("minePhrases launches no Spark job") {
+    assert(jobsOf(GiantPipeline.minePhrases(spark, res.corpus, res.models)) == 0)
+  }
+
+  test("minePhrases equals a serial minePhrase over the CMD then the EMD clusters, in order") {
+    def serial(exs: Seq[Datasets.MiningExample], miner: RGCN.Params) = exs.map { ex =>
+      Normalize.MinedPhrase(ex.seed, GCTSPNet.minePhrase(GiantPipeline.qtigOf(ex), miner), ex.isEvent,
+        ex.titles.map(_.tokens), ex.docIds, ex.attnId)
+    }
+    assert(GiantPipeline.minePhrases(spark, res.corpus, res.models) ==
+      (serial(res.corpus.cmd, res.models.conceptMiner), serial(res.corpus.emd, res.models.eventMiner)))
   }
 
   test("node ids are unique across kinds") {

@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 
 class ClickLogGenSpec extends SparkSpec {

@@ -94,7 +94,7 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("clusters group each attention's queries and docs together") {
-    val rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks).collect()
+    val rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks)
     assert(rows.nonEmpty)
     val dAttn = log.docRows.map(d => d.doc_id -> d.gold_attn).toMap
     // purity: most docs in a cluster belong to the seed's attention
@@ -112,7 +112,7 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("cluster count equals number of content-bearing attention seed queries") {
-    val rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks).collect()
+    val rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks)
     // every attention query seeds a cluster (Algorithm 1 walks from each q);
     // the content filter applies to cluster *members*, not seeds
     val seeds = log.queryRows.count(_.kind == "attention")
@@ -121,7 +121,7 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("clusters digest is locked (seed ids, tokens, doc ids, weight bits)") {
-    val rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks).collect().sortBy(_.seed)
+    val rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks).sortBy(_.seed)
     def texts(ts: Seq[ClickGraph.WText]): String =
       ts.map(t => t.tokens.mkString(" ") + "@" + java.lang.Double.doubleToLongBits(t.w)).mkString(";")
     val text = rows.map { c =>
@@ -131,6 +131,14 @@ class ClickGraphSpec extends SparkSpec {
       .digest(text.getBytes("UTF-8")).map(b => f"$b%02x").mkString
     assert(rows.length == 116)
     assert(digest == "d58b995af1f1470f3cdb5a71b8130b70bec1e4bdff6c4f6b8b13993b312b9ce7")
+  }
+
+  test("clusters take two Spark jobs (the transport aggregation) and come in ascending seed id") {
+    // the walk runs on driver threads; the collected queries and docs are
+    // local relations, which Spark collects without a job
+    var rows = Seq.empty[ClickGraph.ClusterRow]
+    assert(jobsOf { rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks) } == 2)
+    assert(rows.nonEmpty && rows.map(_.seed) == rows.map(_.seed).sorted)
   }
 
   /** The 2-round walk of [[randomWalk]] (prune 0.01) as DuckDB SQL over
@@ -222,7 +230,7 @@ class ClickGraphSpec extends SparkSpec {
       val docs = rows.map(_.doc_id).distinct
         .map(d => DocRow(d, Seq("runner", "review"), Seq.empty, "sports", d, 0)).toDF()
       def run(cs: Seq[ClickRow], n: Int) =
-        ClickGraph.clusters(spark, queries, docs, cs.toDF().repartition(n)).collect().sortBy(_.seed).toSeq
+        ClickGraph.clusters(spark, queries, docs, cs.toDF().repartition(n)).sortBy(_.seed).toSeq
       run(rows, 1) == run(new Random(shuffleSeed).shuffle(rows), parts)
     })
   }
@@ -257,12 +265,12 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("clusters of empty clicks are empty") {
-    assert(ClickGraph.clusters(spark, log.queries, log.docs, Seq.empty[ClickRow].toDF()).collect().isEmpty)
+    assert(ClickGraph.clusters(spark, log.queries, log.docs, Seq.empty[ClickRow].toDF()).isEmpty)
   }
 
   test("clusters of a log with no attention queries are empty") {
     val queries = log.queries.where($"kind" =!= "attention")
-    assert(ClickGraph.clusters(spark, queries, log.docs, log.clicks).collect().isEmpty)
+    assert(ClickGraph.clusters(spark, queries, log.docs, log.clicks).isEmpty)
   }
 
   test("clicks on query or doc ids missing from queries/docs never become members") {
@@ -271,7 +279,7 @@ class ClickGraphSpec extends SparkSpec {
       QueryRow(2, Seq("classic", "runner"), "attention", 2, "sports")).toDF()
     val docs = Seq(DocRow(10, Seq("runner", "review"), Seq.empty, "sports", 1, 0),
       DocRow(11, Seq("runner", "ranking"), Seq.empty, "sports", 1, 0)).toDF()
-    val rows = ClickGraph.clusters(spark, queries, docs, clicks).collect()
+    val rows = ClickGraph.clusters(spark, queries, docs, clicks)
     assert(rows.map(_.seed).sorted.toSeq == Seq(1L, 2L))
     rows.foreach { c =>
       assert(c.docIds.toSet.subsetOf(Set(10L, 11L)))

@@ -72,7 +72,7 @@ class RGCNTrainerSpec extends SparkSpec {
     assert(seen == (1 to 12).toSet, s"graph counts checked: ${seen.toSeq.sorted}")
   }
 
-  test("two distributed runs on the same input give bitwise-identical parameters") {
+  test("two runs on the same input give bitwise-identical parameters") {
     val graphs = (1 to 11).map(graph)
     def run = bits(trainOne(graphs, cfg, epochs = 4, seed = 7))
     assert(run == run)
