@@ -195,11 +195,10 @@ object GiantPipeline {
     // session counts: concept seed query followed by an entity query
     val seedToConcept = conceptNodes.flatMap(n => n.seeds.map(_ -> n.id)).toMap
     val sessionPairs: Map[(Long, Long), Int] = {
-      val byUser = log.sessions.collect().groupBy(_.getLong(0))
-      byUser.values.flatMap { rows =>
-        val sorted = rows.sortBy(_.getInt(1)).map(_.getLong(2))
+      log.sessionRows.groupBy(_.user_id).values.flatMap { rows =>
+        val sorted = rows.sortBy(_.step).map(_.query_id)
         sorted.sliding(2).collect {
-          case Array(q1, q2) =>
+          case Seq(q1, q2) =>
             for {
               cid <- seedToConcept.get(q1)
               q2row <- queryById.get(q2) if q2row.kind == "entity"
@@ -283,7 +282,8 @@ object GiantPipeline {
       topics.map { case (id, t) => id -> t.eventNodeIds.flatMap(eventDocIds.getOrElse(_, Seq.empty)) })
       .flatMap { case (id, ds) => ds.map(d => (id, d)) }
       .toDF("node_id", "doc_id")
-    val catEdges = Linking.categoryEdges(nodeDocsDf, log.docs, categoryIdOf)
+    val docCategoryDf = log.docRows.map(d => (d.doc_id, d.category)).toDF("doc_id", "category")
+    val catEdges = Linking.categoryEdges(nodeDocsDf, docCategoryDf, categoryIdOf)
 
     val allConceptPairs = conceptNodes.map(n => (n.id, n.phrase)) ++
       suffixNodes.map(n => (n.id, n.phrase))

@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.nlp.Lang
 import scala.util.Random
 
@@ -23,11 +23,9 @@ object ClickLogGen {
   final case class ClickRow(query_id: Long, doc_id: Long, cnt: Long)
   final case class SessionRow(user_id: Long, step: Int, query_id: Long)
 
-  /** The generated log, as DataFrames plus the driver-side gold rows. */
-  final case class ClickLog(queries: DataFrame, docs: DataFrame,
-                            clicks: DataFrame, sessions: DataFrame,
-                            queryRows: Vector[QueryRow], docRows: Vector[DocRow],
-                            clickRows: Vector[ClickRow])
+  /** The generated log: each table once, as driver rows in generation order. */
+  final case class ClickLog(queryRows: Vector[QueryRow], docRows: Vector[DocRow],
+                            clickRows: Vector[ClickRow], sessionRows: Vector[SessionRow])
 
   final case class Params(seed: Long)
 
@@ -97,6 +95,9 @@ object ClickLogGen {
     } else pre ++ t ++ post
   }
 
+  /** Generate the click log of `onto`.
+    * `spark` is unused; it stays because perfbench calls this signature.
+    */
   def generate(spark: SparkSession, onto: OntoGen.GoldOntology, p: Params): ClickLog = {
     val rng = new Random(p.seed)
     var qid = 0L
@@ -207,10 +208,6 @@ object ClickLogGen {
       if (d.gold_attn != q.gold_attn) clicks += ClickRow(q.query_id, d.doc_id, 1)
     }
 
-    val cRows = clicks.result()
-    import spark.implicits._
-    ClickLog(
-      qRows.toDF(), dRows.toDF(), cRows.toDF(), sessions.result().toDF(),
-      qRows, dRows, cRows)
+    ClickLog(qRows, dRows, clicks.result(), sessions.result())
   }
 }

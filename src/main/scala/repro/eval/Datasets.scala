@@ -34,21 +34,23 @@ object Datasets {
 
   /** Build both datasets from a generated ontology + click log: run the
     * random walk, keep the canonical cluster per attention (the one seeded by
-    * the attention's first, un-noised query), attach gold.
+    * the attention's first, un-noised query), attach gold. A cluster's
+    * attention is its seed query's `gold_attn` in the log's query rows.
     */
   def build(spark: SparkSession, onto: OntoGen.GoldOntology, log: ClickLogGen.ClickLog): Corpus = {
-    val clusters = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks)
+    val clusters = ClickGraph.clusters(spark, log.queryRows, log.docRows, log.clickRows)
+    val goldAttnOf = log.queryRows.map(q => q.query_id -> q.gold_attn).toMap
     // canonical seed per attention = smallest query id (created first)
-    val canonical = clusters.groupBy(_.gold_attn).map { case (_, cs) => cs.minBy(_.seed) }
+    val canonical = clusters.groupBy(c => goldAttnOf(c.seed)).view.mapValues(_.minBy(_.seed)).toVector
 
     val cmd = Vector.newBuilder[MiningExample]
     val emd = Vector.newBuilder[MiningExample]
-    for (c <- canonical.toVector.sortBy(_.seed)) {
-      onto.conceptById.get(c.gold_attn).foreach { gc =>
+    for ((attn, c) <- canonical.sortBy(_._2.seed)) {
+      onto.conceptById.get(attn).foreach { gc =>
         cmd += MiningExample(c.seed, gc.id, isEvent = false, gc.category,
           c.queries, c.titles, c.docIds, gc.tokens, Seq.empty, Seq.empty, None, splitOf(gc.id))
       }
-      onto.eventById.get(c.gold_attn).foreach { ge =>
+      onto.eventById.get(attn).foreach { ge =>
         emd += MiningExample(c.seed, ge.id, isEvent = true, ge.category,
           c.queries, c.titles, c.docIds, ge.tokens, ge.entityTokens, ge.trigger,
           ge.location, splitOf(ge.id))

@@ -3,6 +3,7 @@ package repro.graph
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.Par
+import repro.data.ClickLogGen.{ClickRow, DocRow, QueryRow}
 import repro.nlp.Lang
 import scala.collection.mutable
 
@@ -11,9 +12,10 @@ import scala.collection.mutable
   * assembly.
   *
   * The transport probabilities come from one DataFrame aggregation of the
-  * clicks, normalised on the driver. The attention seeds, the query tokens and
-  * the doc titles are collected once, and the seeds are walked on the driver
-  * through [[repro.Par.map]], each seed on its own with no shuffle per round.
+  * clicks, normalised on the driver; the clicks are the one frame it builds.
+  * The attention seeds, the query tokens and the doc titles are read from the
+  * log's driver rows, and the seeds are walked on the driver through
+  * [[repro.Par.map]], each seed on its own with no shuffle per round.
   * Visit mass at a node is summed over its in-neighbours in ascending
   * neighbour id, starting from 0.0; that order is part of the contract,
   * because it fixes every weight to the bit.
@@ -23,12 +25,8 @@ object ClickGraph {
   /** A weighted text (query or title) inside a cluster. */
   final case class WText(tokens: Seq[String], w: Double)
 
-  /** One query-doc cluster: the unit the miner consumes. `gold_attn` is the
-    * generator's gold attention id of the seed query (evaluation only — the
-    * pipeline never reads it).
-    */
-  final case class ClusterRow(seed: Long, gold_attn: Long, category: String,
-                              queries: Seq[WText], titles: Seq[WText],
+  /** One query-doc cluster, seeded by query `seed`: the unit the miner consumes. */
+  final case class ClusterRow(seed: Long, queries: Seq[WText], titles: Seq[WText],
                               docIds: Seq[Long])
 
   /** Out-edges of every node, each list sorted by neighbour id. */
@@ -111,16 +109,15 @@ object ClickGraph {
     * mostly stop words are dropped; at most `MaxMembers` of each are kept. A
     * seed yields a cluster only when it keeps at least one query and one doc.
     * Clicks on query or doc ids missing from `queries`/`docs` carry walk mass
-    * but never become members.
+    * but never become members. `spark` turns the clicks into the one frame
+    * that [[transport]] aggregates.
     */
-  def clusters(spark: SparkSession, queries: DataFrame, docs: DataFrame,
-               clicks: DataFrame): Seq[ClusterRow] = {
+  def clusters(spark: SparkSession, queries: Seq[QueryRow], docs: Seq[DocRow],
+               clicks: Seq[ClickRow]): Seq[ClusterRow] = {
     import spark.implicits._
-    val rows = queries.select("query_id", "tokens", "kind", "gold_attn", "category")
-      .as[(Long, Seq[String], String, Long, String)].collect()
-    val queryTokens = rows.collect { case (id, toks, _, _, _) if mostlyContent(toks) => id -> toks }.toMap
-    val titles = docs.select("doc_id", "title").as[(Long, Seq[String])].collect().toMap
-    val tr = transport(clicks)
+    val queryTokens = queries.filter(q => mostlyContent(q.tokens)).map(q => q.query_id -> q.tokens).toMap
+    val titles = docs.map(d => d.doc_id -> d.title).toMap
+    val tr = transport(clicks.toDF())
 
     def members(visits: Map[Long, Double], texts: Map[Long, Seq[String]]): Seq[(Long, WText)] =
       visits.toSeq.filter(_._2 >= DeltaV)
@@ -128,12 +125,12 @@ object ClickGraph {
         .sortBy { case (id, t) => (-t.w, id) }
         .take(MaxMembers)
 
-    Par.map(rows.toSeq.filter(_._3 == "attention").sortBy(_._1)) { case (seed, _, _, goldAttn, category) =>
+    Par.map(queries.filter(_.kind == "attention").map(_.query_id).sorted) { seed =>
       val (qv, dv) = walk(tr, seed, Rounds, Prune)
       val qs = members(qv, queryTokens)
       val ds = members(dv, titles)
       if (qs.isEmpty || ds.isEmpty) None
-      else Some(ClusterRow(seed, goldAttn, category, qs.map(_._2), ds.map(_._2), ds.map(_._1).sorted))
+      else Some(ClusterRow(seed, qs.map(_._2), ds.map(_._2), ds.map(_._1).sorted))
     }.flatten
   }
 }

@@ -63,26 +63,19 @@ class ClickLogGenSpec extends SparkSpec {
   }
 
   test("sessions pair a concept query with an entity query") {
-    val byUser = log.sessions.collect().groupBy(_.getLong(0))
+    val byUser = log.sessionRows.groupBy(_.user_id)
     assert(byUser.nonEmpty)
     val qById = log.queryRows.map(q => q.query_id -> q).toMap
     for ((_, rows) <- byUser) {
-      val sorted = rows.sortBy(_.getInt(1)).map(r => qById(r.getLong(2)))
+      val sorted = rows.sortBy(_.step).map(r => qById(r.query_id))
       assert(sorted.head.kind == "attention")
       assert(sorted.last.kind == "entity")
     }
   }
 
-  test("DataFrames row counts match driver rows") {
-    assert(log.queries.count() == log.queryRows.size)
-    assert(log.docs.count() == log.docRows.size)
-    assert(log.clicks.count() == log.clickRows.size)
-  }
-
   test("generation is deterministic") {
     val again = ClickLogGen.generate(spark, onto, ClickLogGen.Params(seed = 3))
-    assert(again.queryRows == log.queryRows)
-    assert(again.clickRows == log.clickRows)
+    assert(again == log)
   }
 
   test("entity queries exist and use the entity name as tokens") {

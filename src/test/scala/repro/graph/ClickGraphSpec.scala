@@ -13,13 +13,19 @@ import scala.util.Random
 class ClickGraphSpec extends SparkSpec {
   import spark.implicits._
 
-  private lazy val clicks = Seq(
-    (1L, 10L, 4L), (1L, 11L, 6L), (2L, 10L, 2L), (2L, 12L, 2L), (3L, 12L, 5L)
-  ).toDF("query_id", "doc_id", "cnt")
+  private val toyClicks = Seq(
+    ClickRow(1, 10, 4), ClickRow(1, 11, 6), ClickRow(2, 10, 2), ClickRow(2, 12, 2), ClickRow(3, 12, 5))
+  private lazy val clicks = toyClicks.toDF()
 
   private lazy val log = ClickLogGen.generate(spark,
     OntoGen.generate(OntoGen.Params(nDerivedConcepts = 25, nEvents = 15, seed = 4)),
     ClickLogGen.Params(seed = 5))
+
+  /** The generated log's query row of each query id (each seed's gold). */
+  private lazy val queryById = log.queryRows.map(q => q.query_id -> q).toMap
+
+  private def logClusters: Seq[ClickGraph.ClusterRow] =
+    ClickGraph.clusters(spark, log.queryRows, log.docRows, log.clickRows)
 
   /** The pipeline's walk from every seed query, as DataFrames:
     * (queryVisits(seed, query_id, p), docVisits(seed, doc_id, p)).
@@ -94,13 +100,13 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("clusters group each attention's queries and docs together") {
-    val rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks)
+    val rows = logClusters
     assert(rows.nonEmpty)
     val dAttn = log.docRows.map(d => d.doc_id -> d.gold_attn).toMap
     // purity: most docs in a cluster belong to the seed's attention
     val purities = rows.map { c =>
       if (c.docIds.isEmpty) 1.0
-      else c.docIds.count(d => dAttn(d) == c.gold_attn).toDouble / c.docIds.size
+      else c.docIds.count(d => dAttn(d) == queryById(c.seed).gold_attn).toDouble / c.docIds.size
     }
     assert(purities.sum / purities.length > 0.8,
       f"mean cluster purity ${purities.sum / purities.length}%.3f too low")
@@ -112,7 +118,7 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("cluster count equals number of content-bearing attention seed queries") {
-    val rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks)
+    val rows = logClusters
     // every attention query seeds a cluster (Algorithm 1 walks from each q);
     // the content filter applies to cluster *members*, not seeds
     val seeds = log.queryRows.count(_.kind == "attention")
@@ -121,11 +127,12 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("clusters digest is locked (seed ids, tokens, doc ids, weight bits)") {
-    val rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks).sortBy(_.seed)
+    val rows = logClusters.sortBy(_.seed)
     def texts(ts: Seq[ClickGraph.WText]): String =
       ts.map(t => t.tokens.mkString(" ") + "@" + java.lang.Double.doubleToLongBits(t.w)).mkString(";")
     val text = rows.map { c =>
-      s"${c.seed}|${c.gold_attn}|${c.category}|${texts(c.queries)}|${texts(c.titles)}|${c.docIds.mkString(",")}"
+      val q = queryById(c.seed)
+      s"${c.seed}|${q.gold_attn}|${q.category}|${texts(c.queries)}|${texts(c.titles)}|${c.docIds.mkString(",")}"
     }.mkString("\n")
     val digest = java.security.MessageDigest.getInstance("SHA-256")
       .digest(text.getBytes("UTF-8")).map(b => f"$b%02x").mkString
@@ -134,10 +141,10 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("clusters take two Spark jobs (the transport aggregation) and come in ascending seed id") {
-    // the walk runs on driver threads; the collected queries and docs are
-    // local relations, which Spark collects without a job
+    // the walk runs on driver threads over the log's rows; the clicks are
+    // the one frame, and its aggregation is the only Spark work
     var rows = Seq.empty[ClickGraph.ClusterRow]
-    assert(jobsOf { rows = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks) } == 2)
+    assert(jobsOf { rows = logClusters } == 2)
     assert(rows.nonEmpty && rows.map(_.seed) == rows.map(_.seed).sorted)
   }
 
@@ -178,7 +185,8 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("random walk visits match DuckDB on a generated log") {
-    assertWalkMatchesDuckDB(log.clicks, log.queries.where($"kind" === "attention").select("query_id"))
+    assertWalkMatchesDuckDB(log.clickRows.toDF(),
+      log.queryRows.filter(_.kind == "attention").map(_.query_id).toDF("query_id"))
   }
 
   private def check(p: Prop): Unit = {
@@ -218,20 +226,18 @@ class ClickGraphSpec extends SparkSpec {
     check(Prop.forAllNoShrink(clickGraphs)(visitsInRange))
   }
 
-  test("property: clusters do not depend on click row order or partitioning") {
+  test("property: clusters do not depend on click row order") {
     val inputs = for {
       rows <- clickGraphs
       shuffleSeed <- Gen.choose(0L, Long.MaxValue)
-      parts <- Gen.choose(1, 5)
-    } yield (rows, shuffleSeed, parts)
-    check(Prop.forAllNoShrink(inputs) { case (rows, shuffleSeed, parts) =>
+    } yield (rows, shuffleSeed)
+    check(Prop.forAllNoShrink(inputs) { case (rows, shuffleSeed) =>
       val queries = rows.map(_.query_id).distinct
-        .map(q => QueryRow(q, Seq("famous", "runner"), "attention", q, "sports")).toDF()
+        .map(q => QueryRow(q, Seq("famous", "runner"), "attention", q, "sports"))
       val docs = rows.map(_.doc_id).distinct
-        .map(d => DocRow(d, Seq("runner", "review"), Seq.empty, "sports", d, 0)).toDF()
-      def run(cs: Seq[ClickRow], n: Int) =
-        ClickGraph.clusters(spark, queries, docs, cs.toDF().repartition(n)).sortBy(_.seed).toSeq
-      run(rows, 1) == run(new Random(shuffleSeed).shuffle(rows), parts)
+        .map(d => DocRow(d, Seq("runner", "review"), Seq.empty, "sports", d, 0))
+      def run(cs: Seq[ClickRow]) = ClickGraph.clusters(spark, queries, docs, cs)
+      run(rows) == run(new Random(shuffleSeed).shuffle(rows))
     })
   }
 
@@ -265,21 +271,21 @@ class ClickGraphSpec extends SparkSpec {
   }
 
   test("clusters of empty clicks are empty") {
-    assert(ClickGraph.clusters(spark, log.queries, log.docs, Seq.empty[ClickRow].toDF()).isEmpty)
+    assert(ClickGraph.clusters(spark, log.queryRows, log.docRows, Seq.empty[ClickRow]).isEmpty)
   }
 
   test("clusters of a log with no attention queries are empty") {
-    val queries = log.queries.where($"kind" =!= "attention")
-    assert(ClickGraph.clusters(spark, queries, log.docs, log.clicks).isEmpty)
+    val queries = log.queryRows.filter(_.kind != "attention")
+    assert(ClickGraph.clusters(spark, queries, log.docRows, log.clickRows).isEmpty)
   }
 
   test("clicks on query or doc ids missing from queries/docs never become members") {
     // `clicks` names query 3 and doc 12; neither is in the tables below
     val queries = Seq(QueryRow(1, Seq("famous", "runner"), "attention", 1, "sports"),
-      QueryRow(2, Seq("classic", "runner"), "attention", 2, "sports")).toDF()
+      QueryRow(2, Seq("classic", "runner"), "attention", 2, "sports"))
     val docs = Seq(DocRow(10, Seq("runner", "review"), Seq.empty, "sports", 1, 0),
-      DocRow(11, Seq("runner", "ranking"), Seq.empty, "sports", 1, 0)).toDF()
-    val rows = ClickGraph.clusters(spark, queries, docs, clicks)
+      DocRow(11, Seq("runner", "ranking"), Seq.empty, "sports", 1, 0))
+    val rows = ClickGraph.clusters(spark, queries, docs, toyClicks)
     assert(rows.map(_.seed).sorted.toSeq == Seq(1L, 2L))
     rows.foreach { c =>
       assert(c.docIds.toSet.subsetOf(Set(10L, 11L)))
