@@ -85,20 +85,19 @@ object MatchAlign {
     best
   }
 
+  /** The most frequent candidate; ties go to the shorter, then the
+    * lexicographically first.
+    */
+  private def mostFrequent(cands: Seq[Seq[String]]): Option[Seq[String]] =
+    cands.groupBy(identity).toSeq
+      .sortBy { case (c, g) => (-g.size, c.size, c.mkString(" ")) }.headOption.map(_._1)
+
   /** Align across a cluster's titles: the most frequent candidate wins. */
-  def alignExtract(query: Seq[String], titles: Seq[Seq[String]]): Option[Seq[String]] = {
-    val cands = titles.flatMap(t => alignOne(query, t))
-    if (cands.isEmpty) None
-    else Some(cands.groupBy(identity).toSeq
-      .sortBy { case (c, g) => (-g.size, c.size, c.mkString(" ")) }.head._1)
-  }
+  def alignExtract(query: Seq[String], titles: Seq[Seq[String]]): Option[Seq[String]] =
+    mostFrequent(titles.flatMap(t => alignOne(query, t)))
 
   /** MatchAlign: pool both extractors, keep the most frequent result. */
   def matchAlignExtract(query: Seq[String], titles: Seq[Seq[String]],
-                        patterns: Seq[Pattern]): Option[Seq[String]] = {
-    val cands = matchExtract(query, patterns).toSeq ++ titles.flatMap(t => alignOne(query, t))
-    if (cands.isEmpty) None
-    else Some(cands.groupBy(identity).toSeq
-      .sortBy { case (c, g) => (-g.size, c.size, c.mkString(" ")) }.head._1)
-  }
+                        patterns: Seq[Pattern]): Option[Seq[String]] =
+    mostFrequent(matchExtract(query, patterns).toSeq ++ titles.flatMap(t => alignOne(query, t)))
 }

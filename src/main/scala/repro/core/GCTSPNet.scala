@@ -69,7 +69,7 @@ object GCTSPNet {
     if (pos.size == 1) return Seq(g.tokens(pos.head))
     val adj = QTIG.atspGraph(g, positives)
     val sources = 0 +: pos
-    val dists = QTIG.bfsDistances(g.size, adj, sources)
+    val dists = QTIG.shortestPaths(g.size, adj, sources)
     val ids = (0 +: pos) :+ 1 // [sos, positives…, eos]
     val d = Array.tabulate(ids.size, ids.size) { (i, j) =>
       if (i == j) 0.0

@@ -167,28 +167,27 @@ object GiantPipeline {
     val queryById = log.queryRows.map(q => q.query_id -> q).toMap
     val conceptById = conceptNodes.map(n => n.id -> n).toMap
 
-    // every doc body matched once: doc → entity index (into onto.entities)
-    // → ascending mention starts
+    // every doc body matched once: doc → entity id → ascending mention
+    // starts (generated entity ids ascend in onto.entities order)
     val entityIndex = PhraseIndex(onto.entities.map(e => (e.id, e.name)))
-    val entityAt = onto.entities.indices.map(e => onto.entities(e).id -> e).toMap
-    val mentionsOf: Map[Long, SortedMap[Int, Seq[Int]]] =
-      docById.map { case (id, d) => id -> entityIndex.find(d.body) }
+    def mentionsIn(body: Seq[String]): SortedMap[Long, Seq[Int]] =
+      entityIndex.find(body).map { case (e, at) => entityIndex.entries(e)._1 -> at }
+    val mentionsOf: Map[Long, SortedMap[Long, Seq[Int]]] =
+      docById.map { case (id, d) => id -> mentionsIn(d.body) }
 
-    // per concept node: docs, head tokens, and each doc's mentions and
+    // per concept node: head tokens, and each doc's body, mentions and
     // head-token positions
-    final case class DocView(mentions: SortedMap[Int, Seq[Int]], headAt: Seq[Int])
-    val conceptDocs: Map[Long, Seq[ClickLogGen.DocRow]] =
-      conceptNodes.map(n => n.id -> n.docIds.flatMap(docById.get)).toMap
+    final case class DocView(body: Seq[String], mentions: SortedMap[Long, Seq[Int]], headAt: Seq[Int])
     val headTokensOf: Map[Long, Seq[String]] = conceptNodes.map { n =>
       n.id -> n.phrase.filter(t => Lang.info(t).pos == "NOUN")
     }.toMap
-    def viewOf(cid: Long, body: Seq[String], mentions: SortedMap[Int, Seq[Int]]): DocView =
-      DocView(mentions, body.indices.filter(i => headTokensOf(cid).contains(body(i))))
-    val conceptViews: Map[Long, Seq[DocView]] = conceptDocs.map { case (cid, docs) =>
-      cid -> docs.map(d => viewOf(cid, d.body, mentionsOf(d.doc_id)))
-    }
-    // entities mentioned in any of a concept's docs, in onto.entities order
-    val mentionedBy: Map[Long, SortedSet[Int]] = conceptViews.map { case (cid, vs) =>
+    def viewOf(cid: Long, body: Seq[String], mentions: SortedMap[Long, Seq[Int]]): DocView =
+      DocView(body, mentions, body.indices.filter(i => headTokensOf(cid).contains(body(i))))
+    val conceptViews: Map[Long, Seq[DocView]] = conceptNodes.map { n =>
+      n.id -> n.docIds.flatMap(docById.get).map(d => viewOf(n.id, d.body, mentionsOf(d.doc_id)))
+    }.toMap
+    // ids of the entities mentioned in any of a concept's docs, ascending
+    val mentionedBy: Map[Long, SortedSet[Long]] = conceptViews.map { case (cid, vs) =>
       cid -> SortedSet.from(vs.flatMap(_.mentions.keys))
     }
 
@@ -208,42 +207,40 @@ object GiantPipeline {
       }.groupBy(identity).view.mapValues(_.size).toMap
     }
 
-    def features(cid: Long, e: Int, extra: Option[DocView]): Array[Double] = {
+    def features(cid: Long, eid: Long, extra: Option[DocView]): Array[Double] = {
       val views = conceptViews(cid) ++ extra.toSeq
-      val co = views.count(_.mentions.contains(e))
-      val near = views.count(v => v.mentions.get(e).exists(Linking.headNear(_, v.headAt)))
-      Linking.pairFeatures(co, views.size, near,
-        sessionPairs.getOrElse((cid, onto.entities(e).id), 0))
+      val co = views.count(_.mentions.contains(eid))
+      val near = views.count(v => v.mentions.get(eid).exists(Linking.headNear(_, v.headAt)))
+      Linking.pairFeatures(co, views.size, near, sessionPairs.getOrElse((cid, eid), 0))
     }
 
     val rng = new scala.util.Random(99)
     // positives: consecutive (concept, entity) sessions with a mentioning doc
     val positives = sessionPairs.keys.toSeq.sortBy(identity).flatMap { case (cid, eid) =>
-      val e = entityAt(eid)
-      if (mentionedBy(cid).contains(e)) Some((features(cid, e, None), true))
+      if (mentionedBy(cid).contains(eid)) Some((features(cid, eid, None), true))
       else None
     }
     // negatives: same-category non-member entity inserted at a random doc position
-    val entitiesOfCategory: Map[String, Seq[Int]] =
-      onto.entities.indices.groupBy(onto.entities(_).category)
+    val entitiesOfCategory: Map[String, Seq[OntoGen.GoldEntity]] = onto.entities.groupBy(_.category)
     val negatives = sessionPairs.keys.toSeq.sortBy(identity).flatMap { case (cid, _) =>
       val cat = exampleBySeed(conceptById(cid).seeds.head).category
-      val cands = entitiesOfCategory.getOrElse(cat, Seq.empty).filterNot(mentionedBy(cid))
-      if (cands.isEmpty || conceptDocs(cid).isEmpty) None
+      val cands = entitiesOfCategory.getOrElse(cat, Seq.empty).filterNot(e => mentionedBy(cid)(e.id))
+      val views = conceptViews(cid)
+      if (cands.isEmpty || views.isEmpty) None
       else {
         val neg = cands(rng.nextInt(cands.size))
-        val body = conceptDocs(cid)(rng.nextInt(conceptDocs(cid).size)).body
+        val body = views(rng.nextInt(views.size)).body
         val at = rng.nextInt(body.size + 1)
-        val inserted = body.take(at) ++ onto.entities(neg).name ++ body.drop(at)
-        Some((features(cid, neg, Some(viewOf(cid, inserted, entityIndex.find(inserted)))), false))
+        val inserted = body.take(at) ++ neg.name ++ body.drop(at)
+        Some((features(cid, neg.id, Some(viewOf(cid, inserted, mentionsIn(inserted)))), false))
       }
     }
 
     // candidates: (concept, entity) pairs with at least one mentioning doc
     val candidates = for {
       n <- conceptNodes
-      e <- mentionedBy(n.id).toSeq
-    } yield (n.id, onto.entities(e).id, features(n.id, e, None))
+      eid <- mentionedBy(n.id).toSeq
+    } yield (n.id, eid, features(n.id, eid, None))
 
     val ceEdges =
       if (positives.nonEmpty && negatives.nonEmpty)
@@ -307,7 +304,7 @@ object GiantPipeline {
 
     // correlate edges from doc-body entity co-occurrence (DataFrame agg)
     val docEntities = log.docRows.flatMap { d =>
-      mentionsOf(d.doc_id).keys.toSeq.map(e => (d.doc_id, onto.entities(e).id))
+      mentionsOf(d.doc_id).keys.toSeq.map(eid => (d.doc_id, eid))
     }.toDF("doc_id", "entity_id")
     val coPairs = Linking.entityCooccurrence(docEntities)
       .collect().toSeq.map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))

@@ -106,7 +106,7 @@ object QTIG {
   }
 
   /** Shortest-path lengths (Dijkstra) from each of `sources` over `adj`. */
-  def bfsDistances(n: Int, adj: Map[Int, Map[Int, Double]],
+  def shortestPaths(n: Int, adj: Map[Int, Map[Int, Double]],
                    sources: Seq[Int]): Map[Int, Array[Double]] = {
     sources.map { s =>
       val dist = Array.fill(n)(Double.PositiveInfinity)

@@ -23,15 +23,18 @@ import scala.util.Random
   * (verified by numerical gradient checks in tests) and flat, so training can
   * sum them across graphs.
   *
-  * Bit contract (pinned by `RGCNSpec`): every output is a sum that starts at
-  * +0.0 and adds its terms in a fixed order. A `matmul` output (v, c) adds
-  * its terms over the input index i in ascending order; a weight-gradient
-  * entry adds over the nodes v in ascending order; an input-gradient entry
-  * adds over the output columns in ascending order. Skipping a zero term, or
-  * adding one, is exact only while every value is finite: a signed zero
-  * never changes a sum that starts at +0.0, but 0·∞ is NaN. No product is
-  * fused into its sum (`Math.fma` is never called, and the JVM never fuses
-  * on its own), so the vectorized loops round exactly as scalar ones.
+  * Bit contract (pinned by `RGCNSpec` and `PipelineSpec`): every output is a
+  * sum that starts at +0.0 and adds its terms in a fixed order. Every
+  * product is one `matmul`, whose output (v, c) adds its terms over the
+  * input index i in ascending order, skipping zero inputs. The backward
+  * products are `matmul`s over hᵀ and over W's own block, so a
+  * weight-gradient entry adds over the nodes v in ascending order and an
+  * input-gradient entry over the output columns in ascending order.
+  * Skipping a zero term, or adding one, is exact only while every value is
+  * finite: a signed zero never changes a sum that starts at +0.0, but 0·∞ is
+  * NaN. No product is fused into its sum (`Math.fma` is never called, and
+  * the JVM never fuses on its own), so the vectorized loops round exactly as
+  * scalar ones.
   */
 object RGCN {
 
@@ -60,13 +63,7 @@ object RGCN {
     /** Dims (in, out) of layer l. */
     def layerDims(l: Int): (Int, Int) = (if (l == 0) inDim else hidden, hidden)
     /** Total number of parameters in the flat vector. */
-    def nParams: Int = {
-      val lp = (0 until layers).map { l =>
-        val (di, dout) = layerDims(l)
-        di * dout /*W0*/ + bases * di * dout /*V_b*/ + relations * bases /*a*/
-      }.sum
-      lp + hidden * outClasses + outClasses
-    }
+    def nParams: Int = new Layout(this).end
   }
 
   /** Model parameters as one flat vector. Per layer: W_0 (in × out), then
@@ -78,7 +75,7 @@ object RGCN {
   }
 
   /** Offsets into the flat vector: per layer the stacked [W_0 | V_b…] block
-    * and the a block, then the output weights and bias.
+    * and the a block, then the output weights and bias, then its end.
     */
   private final class Layout(cfg: Config) {
     val weights = new Array[Int](cfg.layers)
@@ -91,6 +88,7 @@ object RGCN {
     }
     val outW: Int = off
     val outB: Int = off + cfg.hidden * cfg.outClasses
+    val end: Int = outB + cfg.outClasses
   }
 
   /** Glorot-style initialization, deterministic in `seed`. */
@@ -162,14 +160,15 @@ object RGCN {
     private[RGCN] val out: Array[Double] = rowMajor(p.flat, lay.outW, p.cfg.hidden, p.cfg.outClasses)
   }
 
-  /** out (n × cols, row-major) = h (n × di, row-major) · W, where `wt` is W
-    * (di × cols) row-major.
+  /** out (n × cols, row-major) = h (n × di, row-major) · W, where W (di ×
+    * cols) is stored row-major in `wt` from `wOff` on.
     *
     * Each output row is updated from the rows of W, for the row's non-zero
     * inputs only (one-hot layer-0 features, ReLU zeros), in ascending i (see
     * the bit contract above).
     */
-  private def matmul(h: Array[Double], n: Int, di: Int, wt: Array[Double], cols: Int): Array[Double] = {
+  private def matmul(h: Array[Double], n: Int, di: Int, wt: Array[Double], wOff: Int,
+                     cols: Int): Array[Double] = {
     val out = new Array[Double](n * cols)
     val xs = new Array[Double](di)
     val offs = new Array[Int](di)
@@ -179,7 +178,7 @@ object RGCN {
       var i = 0
       while (i < di) {
         val x = h(v * di + i)
-        if (x != 0.0) { xs(m) = x; offs(m) = i * cols; m += 1 }
+        if (x != 0.0) { xs(m) = x; offs(m) = wOff + i * cols; m += 1 }
         i += 1
       }
       addRows(out, v * cols, cols, wt, xs, offs, m)
@@ -188,53 +187,20 @@ object RGCN {
     out
   }
 
-  /** Backward of [[matmul]]: gW += hᵀ dOut and, when `dh` is non-null,
-    * dh += dOut Wᵀ.
-    *
-    * gW is built as row-major rows, each from the nodes with a non-zero
-    * input in ascending v, and then added into `gw`'s columns, which hold
-    * +0.0. Each dh row adds the columns of W with a non-zero dOut in
-    * ascending c (see the bit contract above).
+  /** grad's column-major di × cols block at `off` += hᵀ dOut, where h is
+    * n × di and dOut n × cols, both row-major. The product is a [[matmul]]
+    * over hᵀ, so each entry sums over the nodes with a non-zero input in
+    * ascending v; the block holds +0.0 when it is added.
     */
-  private def matmulBack(h: Array[Double], n: Int, di: Int, w: Array[Double], gw: Array[Double],
-                         off: Int, cols: Int, dOut: Array[Double], dh: Array[Double]): Unit = {
-    val gt = new Array[Double](di * cols)
-    val xs = new Array[Double](n)
-    val offs = new Array[Int](n)
-    var i = 0
-    while (i < di) {
-      var m = 0
-      var v = 0
-      while (v < n) {
-        val x = h(v * di + i)
-        if (x != 0.0) { xs(m) = x; offs(m) = v * cols; m += 1 }
-        v += 1
-      }
-      addRows(gt, i * cols, cols, dOut, xs, offs, m)
-      i += 1
-    }
+  private def addWeightGrad(h: Array[Double], n: Int, di: Int, dOut: Array[Double], cols: Int,
+                            grad: Array[Double], off: Int): Unit = {
+    val gt = matmul(rowMajor(h, 0, di, n), di, n, dOut, 0, cols)
     var c = 0
     while (c < cols) {
       val wc = off + c * di
-      i = 0
-      while (i < di) { gw(wc + i) += gt(i * cols + c); i += 1 }
+      var i = 0
+      while (i < di) { grad(wc + i) += gt(i * cols + c); i += 1 }
       c += 1
-    }
-    if (dh != null) {
-      val ds = new Array[Double](cols)
-      val wOffs = new Array[Int](cols)
-      var v = 0
-      while (v < n) {
-        var m = 0
-        c = 0
-        while (c < cols) {
-          val d = dOut(v * cols + c)
-          if (d != 0.0) { ds(m) = d; wOffs(m) = off + c * di; m += 1 }
-          c += 1
-        }
-        addRows(dh, v * di, di, w, ds, wOffs, m)
-        v += 1
-      }
     }
   }
 
@@ -259,7 +225,7 @@ object RGCN {
     for (l <- 0 until cfg.layers) {
       val di = cfg.layerDims(l)._1
       val stride = (1 + nb) * d
-      val y = matmul(h, n, di, rows.layers(l), stride)
+      val y = matmul(h, n, di, rows.layers(l), 0, stride)
       for (r <- 0 until cfg.relations) {
         val edges = g.rels(r)
         val inv = g.invDeg(r)
@@ -289,7 +255,7 @@ object RGCN {
       }
     }
     val k = cfg.outClasses
-    val logits = matmul(h, n, d, rows.out, k)
+    val logits = matmul(h, n, d, rows.out, 0, k)
     for (v <- 0 until n; c <- 0 until k) logits(v * k + c) += w(lay.outB + c)
     new Forward(inputs, ys, h, logits)
   }
@@ -349,9 +315,10 @@ object RGCN {
         dLogits(v * k + c) = (prob(c) - (if (c == y) 1.0 else 0.0)) / nNodes
     }
 
-    // output layer
-    var dH = new Array[Double](n * d)
-    matmulBack(fw.last, n, d, w, grad, lay.outW, k, dLogits, dH)
+    // output layer; W's column-major block is Wᵀ row-major, so dH = dOut Wᵀ
+    // is a matmul over W's own block
+    addWeightGrad(fw.last, n, d, dLogits, k, grad, lay.outW)
+    var dH = matmul(dLogits, n, k, w, lay.outW, d)
     for (v <- 0 until n; c <- 0 until k) grad(lay.outB + c) += dLogits(v * k + c)
 
     // backprop through layers
@@ -392,9 +359,8 @@ object RGCN {
           e += 2
         }
       }
-      val dHin = if (l > 0) new Array[Double](n * di) else null
-      matmulBack(fw.inputs(l), n, di, w, grad, lay.weights(l), stride, dY, dHin)
-      dH = dHin
+      addWeightGrad(fw.inputs(l), n, di, dY, stride, grad, lay.weights(l))
+      if (l > 0) dH = matmul(dY, n, stride, w, lay.weights(l), di)
     }
     loss
   }

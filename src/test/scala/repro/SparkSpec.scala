@@ -45,12 +45,16 @@ trait SparkSpec extends AnyFunSuite {
 }
 
 object SparkSpec {
+  /** Shuffle partitions of every test session; perfbench's session uses the
+    * same count.
+    */
+  private val ShufflePartitions = 64
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", ShufflePartitions)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup

@@ -83,6 +83,30 @@ class PipelineSpec extends SparkSpec {
       "43cb2c02fb3e441ed58fd308e8b70ab8cb67ed744d5579577e826ed28560a0ea"))
   }
 
+  test("the R-GCN kernel is pinned to the bit at trained parameters") {
+    // SHA-256 of the raw bits of lossAndGrad (loss, then gradient) and of
+    // predictProbs over a head's train graphs, at the head the run trained
+    def sha(xs: Iterator[Double]): String = {
+      val md = java.security.MessageDigest.getInstance("SHA-256")
+      val buf = java.nio.ByteBuffer.allocate(8)
+      xs.foreach { x => buf.clear(); md.update(buf.putLong(java.lang.Double.doubleToRawLongBits(x)).array()) }
+      md.digest().map(b => f"$b%02x").mkString
+    }
+    def digests(exs: Seq[Datasets.MiningExample], labels: Datasets.MiningExample => String => Int,
+                p: RGCN.Params): (String, String) = {
+      val gs = exs.map(ex => GCTSPNet.encode(GiantPipeline.qtigOf(ex), labels(ex)))
+      (sha(gs.iterator.flatMap { g => val (loss, grad) = RGCN.lossAndGrad(g, p); Iterator(loss) ++ grad }),
+        sha(gs.iterator.flatMap(g => RGCN.predictProbs(g, p).iterator.flatten)))
+    }
+    val c = res.corpus
+    assert(digests(c.train(c.cmd), GiantPipeline.phraseLabels, res.models.conceptMiner) ==
+      ("db60bdac8cb4ee02ffd17e7626eae37c0c50887e6f5070065d9708ca407552b8",
+        "a8b5c52d9820be3e492c6d088e0e3c226878018aa5ff20b2bf5e4cf34eb41cb3"))
+    assert(digests(c.train(c.emd), GiantPipeline.elementLabels, res.models.elementClassifier) ==
+      ("e7bc9a1010f1ce4e0e62c83f15a79fdb86f4439b61c196f3e0535d57c9d190f2",
+        "b098c436b7db96968e78ccce819e51ec9ea6e16bec2e97c781d889216af3fd81"))
+  }
+
   test("minePhrases launches no Spark job") {
     assert(jobsOf(GiantPipeline.minePhrases(spark, res.corpus, res.models)) == 0)
   }

@@ -85,7 +85,7 @@ class QTIGSpec extends AnyFunSuite {
     val g = QTIG.build(queries, titles)
     val fam = g.nodeOf("famous").get; val run = g.nodeOf("runner").get
     val adj = QTIG.atspGraph(g, Set(fam, run))
-    val d = QTIG.bfsDistances(g.size, adj, Seq(fam))
+    val d = QTIG.shortestPaths(g.size, adj, Seq(fam))
     assert(d(fam)(run) == 1.0)
   }
 
@@ -93,7 +93,7 @@ class QTIGSpec extends AnyFunSuite {
     val g = QTIG.build(Seq.empty, Seq(Seq("famous", "classic", "runner")))
     val fam = g.nodeOf("famous").get; val run = g.nodeOf("runner").get
     val adj = QTIG.atspGraph(g, Set(fam, run))
-    val d = QTIG.bfsDistances(g.size, adj, Seq(fam))
+    val d = QTIG.shortestPaths(g.size, adj, Seq(fam))
     assert(d(fam)(run) == 2.0)
   }
 

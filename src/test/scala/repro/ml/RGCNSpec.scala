@@ -23,6 +23,13 @@ class RGCNSpec extends AnyFunSuite {
   test("nParams accounting matches flattened storage") {
     val p = RGCN.init(cfg, 1)
     assert(p.flat.length == cfg.nParams)
+    // per layer W_0 and V_1 … V_B (in × out each) and a (relations × bases),
+    // then the output weights and bias
+    val layers = (0 until cfg.layers).map { l =>
+      val (di, d) = cfg.layerDims(l)
+      (1 + cfg.bases) * di * d + cfg.relations * cfg.bases
+    }
+    assert(cfg.nParams == layers.sum + cfg.hidden * cfg.outClasses + cfg.outClasses)
   }
 
   test("init is deterministic in the seed") {
